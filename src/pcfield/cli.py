@@ -39,17 +39,19 @@ from .forward import (
     min_nn_distance,
     min_norm_inverse,
     read_electrodes_csv,
+    read_manifest,
     read_pcf1,
     read_voxels_csv,
     save_leadfield,
     spherical_grid,
     synth_leadfield,
+    write_manifest,
     write_pcf1,
 )
-from .matcore import as_hermitian
 from .simharness import (
     SimulationConfig,
     parse_config,
+    peak_localization_error,
     simulate_eeg,
     write_config,
 )
@@ -256,14 +258,17 @@ def cmd_xspec(args) -> int:
     bins = band_bins(recording.n_samples, recording.rate, lo, hi)
     spectrum = band_cross_spectrum(recording, lo, hi)
     write_pcf1(args.out, spectrum.values)
-    with open(_meta_path(args.out), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["key", "value"])
-        writer.writerow(["band_lo", repr(lo)])
-        writer.writerow(["band_hi", repr(hi)])
-        writer.writerow(["rate", repr(recording.rate)])
-        writer.writerow(["n_epochs", spectrum.n_epochs])
-        writer.writerow(["bins", " ".join(str(b) for b in bins)])
+    write_manifest(
+        _meta_path(args.out),
+        {
+            "band_lo": repr(lo),
+            "band_hi": repr(hi),
+            "frequency": repr(spectrum.frequency),
+            "rate": repr(recording.rate),
+            "n_epochs": spectrum.n_epochs,
+            "bins": " ".join(str(b) for b in bins),
+        },
+    )
     print(
         f"averaged {len(bins)} bins ({', '.join(str(b) for b in bins)}) over "
         f"{spectrum.n_epochs} epochs; wrote {args.out}"
@@ -278,32 +283,18 @@ def _meta_path(path) -> Path:
 
 
 def _read_xspec(path) -> CrossSpectrum:
+    """A cross-spectrum written by ``xspec``: PCF1 matrix plus its meta file."""
     matrix = read_pcf1(path)
-    band = None
-    frequency = 0.0
-    n_epochs = 1
-    meta = _meta_path(path)
-    if meta.is_file():
-        entries: dict[str, str] = {}
-        with open(meta, newline="") as handle:
-            reader = csv.reader(handle)
-            next(reader, None)
-            for line in reader:
-                if len(line) == 2:
-                    entries[line[0]] = line[1]
-        try:
-            if "band_lo" in entries and "band_hi" in entries:
-                band = (float(entries["band_lo"]), float(entries["band_hi"]))
-                frequency = (band[0] + band[1]) / 2.0
-            if "n_epochs" in entries:
-                n_epochs = int(entries["n_epochs"])
-        except ValueError as exc:
-            raise FormatError(f"{meta}: {exc}") from exc
+    meta = _require_file(_meta_path(path))
+    entries = read_manifest(meta, ("band_lo", "band_hi", "frequency", "n_epochs"))
+    try:
+        band = (float(entries["band_lo"]), float(entries["band_hi"]))
+        frequency = float(entries["frequency"])
+        n_epochs = int(entries["n_epochs"])
+    except ValueError as exc:
+        raise FormatError(f"{meta}: {exc}") from exc
     return CrossSpectrum(
-        matrix=as_hermitian(matrix, atol=1e-8),
-        frequency=frequency,
-        n_epochs=n_epochs,
-        band=band,
+        matrix=matrix, frequency=frequency, n_epochs=n_epochs, band=band
     )
 
 
@@ -352,13 +343,15 @@ def cmd_connect(args) -> int:
         write_map_csv(out / f"seed_{entry.seed}.csv", entry, leadfield.voxels)
     composite = max_over_seeds(maps)
     write_map_csv(out / "composite.csv", composite, leadfield.voxels)
-    with open(out / "manifest.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["key", "value"])
-        writer.writerow(["method", args.method])
-        writer.writerow(["measure", args.measure])
-        writer.writerow(["tag", tag])
-        writer.writerow(["seeds", " ".join(str(s) for s in seeds)])
+    write_manifest(
+        out / "manifest.csv",
+        {
+            "method": args.method,
+            "measure": args.measure,
+            "tag": tag,
+            "seeds": " ".join(str(s) for s in seeds),
+        },
+    )
     print(f"wrote {len(maps)} seeded maps + composite to {out}")
     return 0
 
@@ -412,32 +405,13 @@ def cmd_compare(args) -> int:
     rows = []
     for directory in args.maps:
         base = Path(directory)
-        manifest = base / "manifest.csv"
-        composite = base / "composite.csv"
-        _require_file(manifest)
-        _require_file(composite)
-        entries: dict[str, str] = {}
-        with open(manifest, newline="") as handle:
-            reader = csv.reader(handle)
-            next(reader, None)
-            for line in reader:
-                if len(line) == 2:
-                    entries[line[0]] = line[1]
+        manifest = _require_file(base / "manifest.csv")
+        composite = _require_file(base / "composite.csv")
+        entries = read_manifest(manifest, ("method", "measure"))
         positions, values = read_map_csv(composite)
         spacing = min_nn_distance(positions) if positions.shape[0] > 1 else 1.0
-        order = np.argsort(-values, kind="stable")
-        peaks = positions[order[:2]]
-        worst = 0.0
-        for source in truth_positions:
-            nearest = float(np.min(np.linalg.norm(peaks - source, axis=1)))
-            worst = max(worst, nearest)
-        rows.append(
-            (
-                entries.get("method", base.name),
-                entries.get("measure", ""),
-                worst / spacing,
-            )
-        )
+        error = peak_localization_error(values, positions, truth_positions, spacing)
+        rows.append((entries["method"], entries["measure"], error))
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["method", "measure", "localization_error"])

@@ -35,17 +35,18 @@ from .forward import (
     VoxelGrid,
     _as_gain,
     gain_fingerprint,
+    read_manifest,
     read_pcf1,
     resolution_matrix,
+    write_manifest,
     write_pcf1,
 )
 from .matcore import (
-    DEFAULT_RANK_TOL,
-    HermitianMatrix,
+    EigenDecomposition,
     ReflexiveCheck,
     _relative_residual,
     as_hermitian,
-    hermitian_eig,
+    psd_eig,
 )
 from .spectra import CrossSpectrum
 
@@ -58,9 +59,6 @@ MAGNITUDE_TOL = 1e-9
 
 #: Re(r)^2 within this of 1 makes the lagged measure degenerate.
 DEGENERATE_TOL = 1e-12
-
-#: Dense voxel-by-voxel output is refused above this grid size.
-MAX_DENSE_VOXELS = 2000
 
 #: Legal seeded-map measure tags.
 MEASURES = ("classical_coh", "classical_lagged", "partial_coh", "partial_lagged")
@@ -76,11 +74,12 @@ class ConnectivityFactor:
 
     The implied field is ``P = W W*`` with unit diagonal; each row of ``W``
     has unit norm by construction. ``effective_rank`` is the rank of the
-    sensor cross-spectrum the factor was built from, and ``fingerprint``
-    ties the factor to the gain matrix it belongs to.
+    sensor cross-spectrum the factor was built from and the column count
+    of ``W``; ``fingerprint`` ties the factor to the gain matrix it
+    belongs to.
     """
 
-    W: np.ndarray  # (n_voxels, n_electrodes) complex
+    W: np.ndarray  # (n_voxels, effective_rank) complex
     method: str
     band: tuple[float, float]
     fingerprint: str
@@ -90,6 +89,11 @@ class ConnectivityFactor:
         matrix = np.asarray(self.W, dtype=np.complex128)
         if matrix.ndim != 2:
             raise DimensionError("factor must be a 2-d matrix")
+        if matrix.shape[1] != self.effective_rank:
+            raise DimensionError(
+                f"factor has {matrix.shape[1]} columns, effective rank is "
+                f"{self.effective_rank}"
+            )
         if self.method != "partial":
             raise ValidationError(f"unknown factor method {self.method!r}")
         norms = np.linalg.norm(matrix, axis=1)
@@ -190,10 +194,26 @@ class SeededMap:
 # shared coercions
 
 
-def _spectrum_matrix(spectrum) -> HermitianMatrix:
+def _spectrum_eig(spectrum, n_channels: int) -> EigenDecomposition:
+    """The spectrum's PSD eigendecomposition, computed here only for arrays."""
     if isinstance(spectrum, CrossSpectrum):
-        return spectrum.matrix
-    return as_hermitian(spectrum)
+        decomposition = spectrum.decomposition
+    else:
+        decomposition = psd_eig(spectrum, context="cross-spectrum")
+    if decomposition.eigenvectors.shape[0] != n_channels:
+        raise DimensionError(
+            f"spectrum has {decomposition.eigenvectors.shape[0]} channels, "
+            f"expected {n_channels}"
+        )
+    return decomposition
+
+
+def _whitener(spectrum, n_channels: int) -> tuple[np.ndarray, int]:
+    """``Gamma+ Lambda+^(-1/2)`` of the spectrum, and its rank."""
+    decomposition = _spectrum_eig(spectrum, n_channels)
+    if decomposition.rank == 0:
+        raise SingularMatrixError("cross-spectrum has no positive eigenvalues")
+    return decomposition.range_factor(-0.5), decomposition.rank
 
 
 def _spectrum_band(spectrum) -> tuple[float, float]:
@@ -229,23 +249,13 @@ def _full_rank_gain(leadfield) -> np.ndarray:
 
 
 def classical_field(inverse, spectrum) -> ClassicalField:
-    """Source covariance factor ``A = T Gamma Lambda^(1/2)`` for inverse T.
+    """Source covariance factor ``A = T Gamma+ Lambda+^(1/2)`` for inverse T.
 
     The implied covariance is ``S_J = T S T' = A A*``; it is never formed.
     Entry (k, l) is recoverable as ``row_k(A) . conj(row_l(A))``.
     """
     matrix = _inverse_matrix(inverse)
-    spectrum_matrix = _spectrum_matrix(spectrum)
-    if matrix.shape[1] != spectrum_matrix.dim:
-        raise DimensionError(
-            f"inverse expects {matrix.shape[1]} channels, spectrum has "
-            f"{spectrum_matrix.dim}"
-        )
-    decomposition = hermitian_eig(spectrum_matrix)
-    half = decomposition.eigenvectors * np.sqrt(
-        np.maximum(decomposition.eigenvalues, 0.0)
-    )
-    factor = matrix @ half
+    factor = matrix @ _spectrum_eig(spectrum, matrix.shape[1]).range_factor(0.5)
     variances = np.sum(np.abs(factor) ** 2, axis=1)
     return ClassicalField(A=factor, diag=variances)
 
@@ -270,37 +280,24 @@ def classical_coherence(field: ClassicalField, k: int, l: int) -> complex:
 # partial route
 
 
-def partial_field(leadfield, spectrum, tol: float = DEFAULT_RANK_TOL) -> ConnectivityFactor:
+def partial_field(leadfield, spectrum) -> ConnectivityFactor:
     """Unit-row square root ``W`` of the whole-cortex partial coherence field.
 
-    The sensor cross-spectrum is eigendecomposed once; eigenvalues at or
-    below ``tol`` times the largest are treated as zero and handled by the
-    pseudo-inverse branch, which activates automatically when the spectrum
-    is rank deficient (fewer epochs than channels, for instance). The gain
-    matrix is then pulled back through the inverse square root and each
-    voxel row is normalized to unit length.
+    The gain matrix is pulled back through the whitener
+    ``Gamma+ Lambda+^(-1/2)`` of the sensor cross-spectrum and each voxel
+    row is normalized to unit length, giving the thin factor
+    (voxels x effective rank). Eigenvalues the rank tolerance zeroed are
+    left out, so a rank-deficient spectrum (fewer epochs than channels,
+    for instance) takes the pseudo-inverse branch automatically.
+    ``W W*`` equals the field ``E K' U U K E`` of the full inverse square
+    root ``U``: the two factors differ by the rotation ``Gamma+*``.
 
     No explicit inverse operator participates: the result is a function of
     the gain matrix and the cross-spectrum only.
     """
     gain = _full_rank_gain(leadfield)
-    spectrum_matrix = _spectrum_matrix(spectrum)
-    if spectrum_matrix.dim != gain.shape[0]:
-        raise DimensionError(
-            f"gain has {gain.shape[0]} electrodes, spectrum has "
-            f"{spectrum_matrix.dim} channels"
-        )
-    decomposition = hermitian_eig(spectrum_matrix, tol=tol)
-    positive = decomposition.eigenvalues > 0.0
-    if not np.any(positive):
-        raise SingularMatrixError("cross-spectrum has no positive eigenvalues")
-    inv_half = np.zeros_like(decomposition.eigenvalues)
-    inv_half[positive] = 1.0 / np.sqrt(decomposition.eigenvalues[positive])
-    # V = K' (Gamma Lambda^(-1/2) Gamma*): same row norms and Gram matrix
-    # as K' Gamma Lambda^(-1/2), so the rotated form saves nothing; keep
-    # the full Hermitian inverse square root for fidelity to W = E K' U.
-    inverse_root = (decomposition.eigenvectors * inv_half) @ decomposition.eigenvectors.conj().T
-    pulled_back = gain.T @ inverse_root
+    whitener, rank = _whitener(spectrum, gain.shape[0])
+    pulled_back = gain.T @ whitener
     row_norms = np.linalg.norm(pulled_back, axis=1)
     largest = float(np.max(row_norms))
     dead = row_norms <= ZERO_ROW_RTOL * largest
@@ -320,13 +317,11 @@ def partial_field(leadfield, spectrum, tol: float = DEFAULT_RANK_TOL) -> Connect
         method="partial",
         band=_spectrum_band(spectrum),
         fingerprint=digest,
-        effective_rank=decomposition.rank,
+        effective_rank=rank,
     )
 
 
-def pairwise_partial(
-    leadfield, spectrum, k: int, l: int, tol: float = DEFAULT_RANK_TOL
-) -> complex:
+def pairwise_partial(leadfield, spectrum, k: int, l: int) -> complex:
     """Partial coherence of one voxel pair from its two gain columns alone.
 
     Evaluates ``g_k' S+ g_l / sqrt((g_k' S+ g_k)(g_l' S+ g_l))`` where
@@ -339,29 +334,17 @@ def pairwise_partial(
         raise ValidationError(f"voxel pair ({k}, {l}) out of range for {n} voxels")
     if k == l:
         return 1.0 + 0.0j
-    spectrum_matrix = _spectrum_matrix(spectrum)
-    if spectrum_matrix.dim != gain.shape[0]:
-        raise DimensionError(
-            f"gain has {gain.shape[0]} electrodes, spectrum has "
-            f"{spectrum_matrix.dim} channels"
-        )
-    decomposition = hermitian_eig(spectrum_matrix, tol=tol)
-    positive = decomposition.eigenvalues > 0.0
-    if not np.any(positive):
-        raise SingularMatrixError("cross-spectrum has no positive eigenvalues")
-    basis = decomposition.eigenvectors[:, positive]
-    scale = 1.0 / np.sqrt(decomposition.eigenvalues[positive])
-    # coordinates of the two gain columns in the whitened sensor basis
-    left = (basis.conj().T @ gain[:, k]) * scale
-    right = (basis.conj().T @ gain[:, l]) * scale
-    quad_kk = float(np.real(np.vdot(left, left)))
-    quad_ll = float(np.real(np.vdot(right, right)))
+    whitener, _ = _whitener(spectrum, gain.shape[0])
+    # the two voxels' rows of the unnormalized partial factor
+    row_k, row_l = gain[:, [k, l]].T @ whitener
+    quad_kk = float(np.real(np.vdot(row_k, row_k)))
+    quad_ll = float(np.real(np.vdot(row_l, row_l)))
     if quad_kk <= 0.0 or quad_ll <= 0.0:
         raise SingularMatrixError(
             f"zero denominator: voxel {k if quad_kk <= 0 else l} has no "
             "support in the cross-spectrum range"
         )
-    cross = complex(np.vdot(left, right))
+    cross = complex(np.vdot(row_l, row_k))
     return cross / math.sqrt(quad_kk * quad_ll)
 
 
@@ -494,23 +477,13 @@ def reflexive_residuals(leadfield, spectrum, inverse, tol: float = 1e-8) -> Refl
     """
     gain = _full_rank_gain(leadfield)
     matrix = _inverse_matrix(inverse)
-    spectrum_matrix = _spectrum_matrix(spectrum)
     if matrix.shape != (gain.shape[1], gain.shape[0]):
         raise DimensionError(
             f"inverse shape {matrix.shape} does not match gain {gain.shape}"
         )
-    if spectrum_matrix.dim != gain.shape[0]:
-        raise DimensionError("spectrum dimension does not match the gain matrix")
-    decomposition = hermitian_eig(spectrum_matrix)
-    positive = decomposition.eigenvalues > 0.0
-    half = decomposition.eigenvectors[:, positive] * np.sqrt(
-        decomposition.eigenvalues[positive]
-    )
-    inverse_half = decomposition.eigenvectors[:, positive] / np.sqrt(
-        decomposition.eigenvalues[positive]
-    )
-    covariance_factor = matrix @ half  # S_J = B B*
-    ginverse_factor = gain.T @ inverse_half  # G = C C*
+    decomposition = _spectrum_eig(spectrum, gain.shape[0])
+    covariance_factor = matrix @ decomposition.range_factor(0.5)  # S_J = B B*
+    ginverse_factor = gain.T @ decomposition.range_factor(-0.5)  # G = C C*
     r_cov = np.linalg.qr(covariance_factor, mode="r")
     r_gin = np.linalg.qr(ginverse_factor, mode="r")
     mixed = covariance_factor.conj().T @ ginverse_factor
@@ -610,33 +583,24 @@ def _manifest_path(path) -> Path:
 def save_factor(path, factor: ConnectivityFactor) -> None:
     """Write the factor matrix (complex PCF1) plus a CSV manifest."""
     write_pcf1(path, factor.W.astype(np.complex128))
-    with open(_manifest_path(path), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["key", "value"])
-        writer.writerow(["method", factor.method])
-        writer.writerow(["band_lo", repr(factor.band[0])])
-        writer.writerow(["band_hi", repr(factor.band[1])])
-        writer.writerow(["fingerprint", factor.fingerprint])
-        writer.writerow(["effective_rank", factor.effective_rank])
+    write_manifest(
+        _manifest_path(path),
+        {
+            "method": factor.method,
+            "band_lo": repr(factor.band[0]),
+            "band_hi": repr(factor.band[1]),
+            "fingerprint": factor.fingerprint,
+            "effective_rank": factor.effective_rank,
+        },
+    )
 
 
 def load_factor(path) -> ConnectivityFactor:
     matrix = read_pcf1(path)
     manifest_path = _manifest_path(path)
-    entries: dict[str, str] = {}
-    with open(manifest_path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["key", "value"]:
-            raise FormatError(f"{manifest_path}: expected header key,value")
-        for line in reader:
-            if len(line) != 2:
-                raise FormatError(f"{manifest_path}: malformed row {line!r}")
-            entries[line[0].strip()] = line[1]
-    required = ("method", "band_lo", "band_hi", "fingerprint", "effective_rank")
-    missing = [key for key in required if key not in entries]
-    if missing:
-        raise FormatError(f"{manifest_path}: missing keys {missing}")
+    entries = read_manifest(
+        manifest_path, ("method", "band_lo", "band_hi", "fingerprint", "effective_rank")
+    )
     try:
         band = (float(entries["band_lo"]), float(entries["band_hi"]))
         rank = int(entries["effective_rank"])

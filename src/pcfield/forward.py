@@ -17,7 +17,9 @@ PCF1 matrix container (little-endian throughout)::
     bytes 13-   row-major float64 payload
 
 Geometry sidecars are plain CSV: ``label,x,y,z`` for electrodes and
-``id,x,y,z`` for voxels.
+``id,x,y,z`` for voxels. Metadata sidecars (cross-spectrum meta, factor and
+map manifests) are ``key,value`` CSV read and written by
+:func:`read_manifest` and :func:`write_manifest`.
 """
 
 from __future__ import annotations
@@ -494,6 +496,36 @@ def read_pcf1(path) -> np.ndarray:
         raise FormatError(f"{path}: matrix contains non-finite entries")
     native = np.float64 if dtype_code == _PCF1_REAL else np.complex128
     return matrix.astype(native)
+
+
+def write_manifest(path, entries: dict) -> None:
+    """Write ``key,value`` rows under a ``key,value`` header, in dict order."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["key", "value"])
+        writer.writerows(entries.items())
+
+
+def read_manifest(path, required: tuple[str, ...]) -> dict[str, str]:
+    """Read a ``key,value`` manifest; a wrong header, a row without exactly
+    two fields, a duplicate key or a missing required key is a FormatError."""
+    entries: dict[str, str] = {}
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["key", "value"]:
+            raise FormatError(f"{path}: expected header key,value")
+        for line in reader:
+            if len(line) != 2:
+                raise FormatError(f"{path}: malformed row {line!r}")
+            key = line[0].strip()
+            if key in entries:
+                raise FormatError(f"{path}: duplicate key {key!r}")
+            entries[key] = line[1]
+    missing = [key for key in required if key not in entries]
+    if missing:
+        raise FormatError(f"{path}: missing keys {missing}")
+    return entries
 
 
 def _sidecar_paths(path) -> tuple[Path, Path]:

@@ -26,14 +26,16 @@ from .errors import (
 #: Relative eigenvalue threshold below which rank is considered lost.
 DEFAULT_RANK_TOL = 1e-10
 
-#: Absolute conjugate-symmetry tolerance accepted at construction.
-HERMITIAN_ATOL = 1e-12
+#: Conjugate-symmetry tolerance accepted at construction, relative to the
+#: largest entry: ``max|S - S*| <= HERMITIAN_RTOL * max|S|``.
+HERMITIAN_RTOL = 1e-12
 
 
 class HermitianMatrix:
     """Complex square matrix with conjugate symmetry.
 
-    Construction validates ``max|S - S*| <= atol`` and then stores the exact
+    Construction validates ``max|S - S*| <= HERMITIAN_RTOL * max|S|``, a
+    bound that scales with the data units, and then stores the exact
     symmetrization ``(S + S*) / 2``, so the stored diagonal is exactly real.
     The underlying array is frozen; use :attr:`values` to read it.
 
@@ -42,14 +44,14 @@ class HermitianMatrix:
     entries : array_like
         Square matrix, real or complex.
     atol : float
-        Absolute asymmetry tolerated before construction fails. Internal
-        callers that have already produced a Hermitian result pass ``inf``
-        to skip the check (the symmetrization still runs).
+        Asymmetry tolerated on top of the relative bound. Internal callers
+        that have already produced a Hermitian result pass ``inf`` to skip
+        the check (the symmetrization still runs).
     """
 
     __slots__ = ("_values",)
 
-    def __init__(self, entries, atol: float = HERMITIAN_ATOL):
+    def __init__(self, entries, atol: float = 0.0):
         values = np.asarray(entries)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DimensionError(
@@ -61,10 +63,11 @@ class HermitianMatrix:
         if not np.all(np.isfinite(values)):
             raise ValidationError("matrix contains non-finite entries")
         asymmetry = float(np.max(np.abs(values - values.conj().T)))
-        if not (asymmetry <= atol):
+        bound = HERMITIAN_RTOL * float(np.max(np.abs(values))) + atol
+        if not (asymmetry <= bound):
             raise ValidationError(
                 f"matrix is not Hermitian: max|S - S*| = {asymmetry:.3e} "
-                f"exceeds {atol:.3e}"
+                f"exceeds {bound:.3e}"
             )
         symmetrized = (values + values.conj().T) / 2.0
         symmetrized.setflags(write=False)
@@ -88,7 +91,7 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-def as_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> HermitianMatrix:
+def as_hermitian(matrix, atol: float = 0.0) -> HermitianMatrix:
     """Coerce an array or :class:`HermitianMatrix` into a validated instance."""
     if isinstance(matrix, HermitianMatrix):
         return matrix
@@ -111,6 +114,12 @@ class EigenDecomposition:
     def reconstruct(self) -> np.ndarray:
         """Return ``vectors @ diag(values) @ vectors*``."""
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+
+    def range_factor(self, power: float) -> np.ndarray:
+        """``Gamma+ Lambda+^power`` over the positive eigenvalues (``rank``
+        columns for a PSD matrix); ``range_factor(-1/2)`` whitens ``S``."""
+        positive = self.eigenvalues > 0.0
+        return self.eigenvectors[:, positive] * self.eigenvalues[positive] ** power
 
 
 def hermitian_eig(matrix, tol: float = DEFAULT_RANK_TOL) -> EigenDecomposition:
@@ -141,13 +150,32 @@ def hermitian_eig(matrix, tol: float = DEFAULT_RANK_TOL) -> EigenDecomposition:
     return EigenDecomposition(eigenvectors=eigvecs, eigenvalues=eigvals, rank=rank)
 
 
-def _require_psd(decomposition: EigenDecomposition, context: str) -> None:
+def psd_eig(
+    matrix, tol: float = DEFAULT_RANK_TOL, context: str = "matrix"
+) -> EigenDecomposition:
+    """:func:`hermitian_eig` of a matrix required to be positive semidefinite.
+
+    Raises
+    ------
+    NotPositiveSemidefiniteError
+        If an eigenvalue is below ``-tol * max|eigenvalue|``; smaller
+        magnitudes were already set to exactly zero.
+    """
+    decomposition = hermitian_eig(matrix, tol)
     smallest = float(decomposition.eigenvalues[-1])
     if smallest < 0.0:
         raise NotPositiveSemidefiniteError(
             f"{context}: eigenvalue {smallest:.6e} is negative beyond the "
             "rank tolerance"
         )
+    return decomposition
+
+
+def _psd_power(matrix, power: float, tol: float, context: str) -> HermitianMatrix:
+    """``Gamma+ Lambda+^power Gamma+*``: zero eigenvalues contribute zero."""
+    decomposition = psd_eig(matrix, tol, context)
+    result = decomposition.range_factor(power) @ decomposition.range_factor(0.0).conj().T
+    return HermitianMatrix(result, atol=math.inf)
 
 
 def inv_sqrt_hermitian(matrix, tol: float = DEFAULT_RANK_TOL) -> HermitianMatrix:
@@ -163,15 +191,7 @@ def inv_sqrt_hermitian(matrix, tol: float = DEFAULT_RANK_TOL) -> HermitianMatrix
     NotPositiveSemidefiniteError
         If an eigenvalue is below ``-tol * max|eigenvalue|``.
     """
-    decomposition = hermitian_eig(matrix, tol)
-    _require_psd(decomposition, "inv_sqrt_hermitian")
-    eigvals = decomposition.eigenvalues
-    positive = eigvals > 0.0
-    inv_sqrt = np.zeros_like(eigvals)
-    inv_sqrt[positive] = 1.0 / np.sqrt(eigvals[positive])
-    vectors = decomposition.eigenvectors
-    result = (vectors * inv_sqrt) @ vectors.conj().T
-    return HermitianMatrix(result, atol=math.inf)
+    return _psd_power(matrix, -0.5, tol, "inv_sqrt_hermitian")
 
 
 def moore_penrose(matrix, tol: float = DEFAULT_RANK_TOL) -> HermitianMatrix:
@@ -185,15 +205,7 @@ def moore_penrose(matrix, tol: float = DEFAULT_RANK_TOL) -> HermitianMatrix:
     NotPositiveSemidefiniteError
         If an eigenvalue is below ``-tol * max|eigenvalue|``.
     """
-    decomposition = hermitian_eig(matrix, tol)
-    _require_psd(decomposition, "moore_penrose")
-    eigvals = decomposition.eigenvalues
-    positive = eigvals > 0.0
-    inverted = np.zeros_like(eigvals)
-    inverted[positive] = 1.0 / eigvals[positive]
-    vectors = decomposition.eigenvectors
-    result = (vectors * inverted) @ vectors.conj().T
-    return HermitianMatrix(result, atol=math.inf)
+    return _psd_power(matrix, -1.0, tol, "moore_penrose")
 
 
 @dataclass(frozen=True)

@@ -197,27 +197,39 @@ def simulate_eeg(cfg: SimulationConfig, leadfield: LeadField):
     return recording, truth
 
 
+def peak_localization_error(
+    values: np.ndarray, positions: np.ndarray, sources: np.ndarray, spacing: float
+) -> float:
+    """Worst-case distance from source positions to a map's two peaks.
+
+    Takes the top-2 entries of ``values`` (ties broken by voxel order),
+    measures each source position's Euclidean distance to the nearest of
+    the two peak ``positions``, and returns the larger in units of
+    ``spacing``. 0 means every source was hit exactly.
+    """
+    order = np.argsort(-values, kind="stable")
+    peaks = positions[order[:2]]
+    worst = 0.0
+    for position in sources:
+        nearest = float(np.min(np.linalg.norm(peaks - position, axis=1)))
+        worst = max(worst, nearest)
+    return worst / spacing
+
+
 def localization_error(
     composite: SeededMap, truth: GroundTruth, voxels
 ) -> float:
-    """Worst-case distance from the true sources to the map's two peaks.
-
-    Takes the map's top-2 voxels, measures each true source's Euclidean
-    distance to the nearest of them, and returns the larger of the two in
-    units of the grid spacing. 0 means both sources were hit exactly.
-    """
+    """:func:`peak_localization_error` of a composite against the true sources."""
     if len(voxels) != composite.n_voxels:
         raise ValidationError(
             f"map covers {composite.n_voxels} voxels, grid has {len(voxels)}"
         )
-    order = np.argsort(-composite.values, kind="stable")
-    peaks = voxels.positions[order[:2]]
-    worst = 0.0
-    for voxel in truth.source_voxels:
-        position = voxels.positions[voxel]
-        nearest = float(np.min(np.linalg.norm(peaks - position, axis=1)))
-        worst = max(worst, nearest)
-    return worst / voxels.spacing
+    return peak_localization_error(
+        composite.values,
+        voxels.positions,
+        voxels.positions[list(truth.source_voxels)],
+        voxels.spacing,
+    )
 
 
 @dataclass(frozen=True)

@@ -6,31 +6,25 @@ The transform convention is the unnormalized forward DFT with kernel
 No tapering, detrending, or epoch overlap: epochs are assumed stationary
 and are combined by a plain average of their spectral outer products.
 
-Summation order is part of the contract so that parallel and sequential
-runs agree bit for bit: epochs are reduced in index order with numpy's
-pairwise tree (``np.mean`` over the epoch axis), and band averages reduce
-the per-bin matrices the same way.
+Estimation is single-threaded numpy work (FFT, elementwise products and
+means; no BLAS call), so a given recording and band yield the same matrix
+bit for bit on every run with the same numpy build: epochs are averaged with ``np.mean`` over the
+epoch axis and band averages reduce the per-bin matrices the same way.
+Across numpy versions the summation order inside ``np.mean`` may change,
+and with it the last bits.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    FormatError,
-    NotPositiveSemidefiniteError,
-    ValidationError,
-)
-from .matcore import HermitianMatrix
-
-#: Cross-spectra may dip this far (times the top eigenvalue) below zero.
-PSD_RTOL = 1e-10
+from .errors import DimensionError, FormatError, ValidationError
+from .matcore import EigenDecomposition, HermitianMatrix, psd_eig
 
 
 @dataclass(frozen=True)
@@ -97,25 +91,24 @@ class CrossSpectrum:
 
     ``band`` is set when the matrix is an average over several bins, in
     which case ``frequency`` is the mean of the included bin frequencies.
+    ``decomposition`` is the PSD-checked, rank-truncated eigendecomposition,
+    computed once at construction; every estimator whitens through it.
     """
 
     matrix: HermitianMatrix
     frequency: float
     n_epochs: int
     band: tuple[float, float] | None = None
+    decomposition: EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.matrix, HermitianMatrix):
             object.__setattr__(self, "matrix", HermitianMatrix(self.matrix))
         if self.n_epochs < 1:
             raise ValidationError("n_epochs must be at least 1")
-        eigenvalues = np.linalg.eigvalsh(self.matrix.values)
-        floor = -PSD_RTOL * max(float(eigenvalues[-1]), 0.0)
-        if float(eigenvalues[0]) < floor:
-            raise NotPositiveSemidefiniteError(
-                f"cross-spectrum has eigenvalue {eigenvalues[0]:.3e} below "
-                f"the tolerance floor {floor:.3e}"
-            )
+        object.__setattr__(
+            self, "decomposition", psd_eig(self.matrix, context="cross-spectrum")
+        )
 
     @property
     def values(self) -> np.ndarray:
@@ -202,8 +195,8 @@ def band_cross_spectrum(
 ) -> CrossSpectrum:
     """Arithmetic mean of the per-bin cross-spectra across a frequency band.
 
-    The mean of PSD matrices is PSD, so the result satisfies the same
-    eigenvalue floor as a single-bin estimate.
+    The mean of PSD matrices is PSD, so the result passes the same
+    eigenvalue check as a single-bin estimate.
     """
     bins = band_bins(rec.n_samples, rec.rate, f_lo, f_hi, include_edges)
     per_bin = _epoch_bin_matrices(rec, np.asarray(bins))

@@ -2,11 +2,13 @@
 
 import csv
 import hashlib
+import shutil
 
 import numpy as np
 import pytest
 
 from pcfield import (
+    band_cross_spectrum,
     load_factor,
     load_leadfield,
     read_epochs_csv,
@@ -16,7 +18,7 @@ from pcfield import (
     voxel_under_electrode,
     write_map_csv,
 )
-from pcfield.cli import main
+from pcfield.cli import _read_xspec, main
 from pcfield.confield import SeededMap
 
 
@@ -172,6 +174,25 @@ class TestXspecCommand:
         assert float(meta["band_hi"]) == 12.0
         assert meta["bins"] == "8 9 10 11 12"
 
+    def test_loaded_spectrum_equals_in_memory(self, pipeline, tmp_path):
+        # 8:11.5 Hz holds bins 8..11: bin mean 9.5 Hz, band midpoint 9.75 Hz
+        out = tmp_path / "mid.pcf"
+        assert (
+            run_cli(
+                "xspec", "--epochs", pipeline["sim"] / "epochs.csv",
+                "--rate", 64.0, "--band", "8:11.5", "--out", out,
+            )
+            == 0
+        )
+        recording = read_epochs_csv(pipeline["sim"] / "epochs.csv", rate=64.0)
+        expected = band_cross_spectrum(recording, 8.0, 11.5)
+        loaded = _read_xspec(out)
+        assert expected.frequency == 9.5
+        assert np.array_equal(loaded.values, expected.values)
+        assert loaded.frequency == expected.frequency
+        assert loaded.band == expected.band
+        assert loaded.n_epochs == expected.n_epochs
+
     def test_empty_band_fails_numerically(self, pipeline, tmp_path):
         code = run_cli(
             "xspec", "--epochs", pipeline["sim"] / "epochs.csv",
@@ -261,6 +282,36 @@ class TestConnectCommand:
         assert "19" in capsys.readouterr().err
 
 
+    def test_missing_meta_file_is_missing_input(self, pipeline, tmp_path):
+        xspec = tmp_path / "alpha.pcf"
+        shutil.copy(pipeline["xspec"], xspec)
+        code = run_cli(
+            "connect", "--leadfield", pipeline["lf"], "--xspec", xspec,
+            "--method", "partial", "--measure", "lagged", "--out", tmp_path / "m",
+        )
+        assert code == 66
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            "key,value\nband_lo,8.0\nband_hi,12.0\nn_epochs,100\n",
+            "key,value\nband_lo,8.0\nband_hi,12.0\nfrequency,10.0\nn_epochs,100,1\n",
+            "key,value\nband_lo,8.0\nband_hi,12.0\nfrequency,ten\nn_epochs,100\n",
+        ],
+        ids=["missing_frequency", "malformed_row", "bad_value"],
+    )
+    def test_malformed_meta_is_format_error(self, pipeline, tmp_path, capsys, meta):
+        xspec = tmp_path / "alpha.pcf"
+        shutil.copy(pipeline["xspec"], xspec)
+        (tmp_path / "alpha.meta.csv").write_text(meta)
+        code = run_cli(
+            "connect", "--leadfield", pipeline["lf"], "--xspec", xspec,
+            "--method", "partial", "--measure", "lagged", "--out", tmp_path / "m",
+        )
+        assert code == 2
+        assert "alpha.meta.csv" in capsys.readouterr().err
+
+
 class TestRenderCommand:
     def test_ppm_header_and_size(self, pipeline):
         raw = pipeline["ppm"].read_bytes()
@@ -322,6 +373,21 @@ class TestCompareCommand:
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
         assert len(rows) == 2
+
+    @pytest.mark.parametrize(
+        "manifest",
+        ["key,value\nmethod,partial\n", "key,value\nmethod,partial\nmeasure\n"],
+        ids=["missing_measure", "malformed_row"],
+    )
+    def test_manifest_is_validated(self, pipeline, tmp_path, manifest):
+        maps = tmp_path / "maps"
+        shutil.copytree(pipeline["maps"]["partial"], maps)
+        (maps / "manifest.csv").write_text(manifest)
+        code = run_cli(
+            "compare", "--maps", maps, "--truth", pipeline["sim"] / "truth.csv",
+            "--out", tmp_path / "s.csv",
+        )
+        assert code == 2
 
     def test_missing_truth_file(self, pipeline, tmp_path):
         code = run_cli(

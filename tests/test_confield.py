@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_pd, random_psd
 from pcfield import (
@@ -11,9 +13,11 @@ from pcfield import (
     ConnectivityFactor,
     CrossSpectrum,
     DimensionError,
+    EpochedRecording,
     SeededMap,
     ValidationError,
     as_hermitian,
+    band_cross_spectrum,
     classical_coherence,
     classical_field,
     direct_partial_coherence,
@@ -167,6 +171,54 @@ class TestPartialField:
                 fingerprint="0" * 64,
                 effective_rank=2,
             )
+
+
+def implied_field(gain, spectrum):
+    factor = partial_field(gain, spectrum)
+    return factor.W @ factor.W.conj().T
+
+
+class TestFieldInvariances:
+    @given(
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_scale_invariant_and_voxel_equivariant(self, log_s, log_k, seed):
+        rng = np.random.default_rng(seed)
+        gain = random_gain(rng, 5, 16)
+        spectrum = random_pd(rng, 5)
+        field = implied_field(gain, spectrum)
+        scaled = implied_field(10.0**log_k * gain, 10.0**log_s * spectrum)
+        assert np.max(np.abs(scaled - field)) <= 1e-12
+        order = rng.permutation(16)
+        permuted = implied_field(gain[:, order], spectrum)
+        assert np.max(np.abs(permuted - field[np.ix_(order, order)])) <= 1e-12
+
+
+class TestSingleEigendecomposition:
+    def test_every_consumer_reuses_the_spectrum_decomposition(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        gain = random_gain(rng, 6, 20)
+        inverse = min_norm_inverse(gain)
+        recording = EpochedRecording(rng.standard_normal((12, 32, 6)), rate=32.0)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(_original.__name__)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        spectrum = band_cross_spectrum(recording, 4.0, 8.0)
+        partial_field(gain, spectrum)
+        classical_field(inverse, spectrum)
+        for k, l in [(0, 1), (3, 17), (19, 5)]:
+            pairwise_partial(gain, spectrum, k, l)
+        reflexive_residuals(gain, spectrum, inverse)
+        assert calls == ["eigh"]
 
 
 class TestPairwisePartial:
@@ -473,6 +525,29 @@ class TestFactorPersistence:
         assert restored.band == factor.band
         assert restored.fingerprint == factor.fingerprint
         assert restored.effective_rank == factor.effective_rank
+
+    def test_rank_deficient_factor_is_thin_and_round_trips(self, tmp_path):
+        rng = np.random.default_rng(26)
+        gain = random_gain(rng, 6, 20)
+        factor = partial_field(gain, random_psd(rng, 6, rank=3))
+        assert factor.W.shape == (20, 3)
+        path = tmp_path / "factor.pcf"
+        save_factor(path, factor)
+        restored = load_factor(path)
+        assert np.array_equal(restored.W, factor.W)
+        assert restored.effective_rank == 3
+
+    def test_column_count_must_match_effective_rank(self, tmp_path):
+        rng = np.random.default_rng(27)
+        gain = random_gain(rng, 4, 8)
+        factor = partial_field(gain, random_psd(rng, 4, rank=2))
+        path = tmp_path / "factor.pcf"
+        save_factor(path, factor)
+        manifest = tmp_path / "factor.manifest.csv"
+        text = manifest.read_text()
+        manifest.write_text(text.replace("effective_rank,2", "effective_rank,4"))
+        with pytest.raises(DimensionError, match="effective rank"):
+            load_factor(path)
 
     def test_missing_manifest_rejected(self, tmp_path):
         rng = np.random.default_rng(24)

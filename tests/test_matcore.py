@@ -39,6 +39,18 @@ class TestHermitianMatrix:
         with pytest.raises(ValidationError, match="not Hermitian"):
             HermitianMatrix(np.array([[1.0, 2.0], [2.1, 1.0]]))
 
+    def test_asymmetry_tolerance_scales_with_the_data(self):
+        # a valid 19-channel spectrum in large units, with roundoff asymmetry
+        rng = np.random.default_rng(31)
+        spectrum = 1e6 * random_pd(rng, 19)
+        noisy = spectrum * (1.0 + 1e-15 * rng.standard_normal(spectrum.shape))
+        assert np.max(np.abs(noisy - noisy.conj().T)) > 1e-12
+        HermitianMatrix(noisy)
+
+    def test_rejects_asymmetry_at_small_scale(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            HermitianMatrix(1e-12 * np.triu(np.ones((4, 4))))
+
     def test_atol_inf_skips_check_but_still_symmetrizes(self):
         raw = np.array([[1.0, 4.0], [0.0, 1.0]])
         stored = HermitianMatrix(raw, atol=math.inf).values
