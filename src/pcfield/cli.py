@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 numerical or validation failure, 64 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -41,12 +40,15 @@ from .forward import (
     read_electrodes_csv,
     read_manifest,
     read_pcf1,
+    read_table,
     read_voxels_csv,
     save_leadfield,
+    sidecar,
     spherical_grid,
     synth_leadfield,
     write_manifest,
     write_pcf1,
+    write_table,
 )
 from .simharness import (
     SimulationConfig,
@@ -198,34 +200,18 @@ def cmd_leadfield(args) -> int:
     return 0
 
 
+_TRUTH_COLUMNS = {"role": str, "voxel_id": int, "x": float, "y": float, "z": float}
+
+
 def _write_truth_csv(path, truth, voxels) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["role", "voxel_id", "x", "y", "z"])
-        for voxel in truth.source_voxels:
-            position = voxels.positions[voxel]
-            writer.writerow(
-                ["source", voxel] + [repr(float(c)) for c in position]
-            )
-        for voxel in truth.bio_voxels:
-            position = voxels.positions[voxel]
-            writer.writerow(["bio", voxel] + [repr(float(c)) for c in position])
+    rows = [["source", v, *voxels.positions[v].tolist()] for v in truth.source_voxels]
+    rows += [["bio", v, *voxels.positions[v].tolist()] for v in truth.bio_voxels]
+    write_table(path, _TRUTH_COLUMNS, rows)
 
 
 def _read_truth_sources(path) -> np.ndarray:
-    positions = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "role", "voxel_id", "x", "y", "z",
-        ]:
-            raise FormatError(f"{path}: expected header role,voxel_id,x,y,z")
-        for line in reader:
-            if len(line) != 5:
-                raise FormatError(f"{path}: malformed row {line!r}")
-            if line[0] == "source":
-                positions.append([float(line[2]), float(line[3]), float(line[4])])
+    _, rows = read_table(path, _TRUTH_COLUMNS)
+    positions = [row[2:] for row in rows if row[0] == "source"]
     if not positions:
         raise FormatError(f"{path}: no source rows")
     return np.array(positions)
@@ -259,7 +245,7 @@ def cmd_xspec(args) -> int:
     spectrum = band_cross_spectrum(recording, lo, hi)
     write_pcf1(args.out, spectrum.values)
     write_manifest(
-        _meta_path(args.out),
+        sidecar(args.out, "meta"),
         {
             "band_lo": repr(lo),
             "band_hi": repr(hi),
@@ -276,25 +262,18 @@ def cmd_xspec(args) -> int:
     return 0
 
 
-def _meta_path(path) -> Path:
-    base = Path(path)
-    stem = base.with_suffix("") if base.suffix else base
-    return stem.parent / f"{stem.name}.meta.csv"
-
-
 def _read_xspec(path) -> CrossSpectrum:
     """A cross-spectrum written by ``xspec``: PCF1 matrix plus its meta file."""
     matrix = read_pcf1(path)
-    meta = _require_file(_meta_path(path))
-    entries = read_manifest(meta, ("band_lo", "band_hi", "frequency", "n_epochs"))
-    try:
-        band = (float(entries["band_lo"]), float(entries["band_hi"]))
-        frequency = float(entries["frequency"])
-        n_epochs = int(entries["n_epochs"])
-    except ValueError as exc:
-        raise FormatError(f"{meta}: {exc}") from exc
+    entries = read_manifest(
+        _require_file(sidecar(path, "meta")),
+        {"band_lo": float, "band_hi": float, "frequency": float, "n_epochs": int},
+    )
     return CrossSpectrum(
-        matrix=matrix, frequency=frequency, n_epochs=n_epochs, band=band
+        matrix=matrix,
+        frequency=entries["frequency"],
+        n_epochs=entries["n_epochs"],
+        band=(entries["band_lo"], entries["band_hi"]),
     )
 
 
@@ -412,11 +391,7 @@ def cmd_compare(args) -> int:
         spacing = min_nn_distance(positions) if positions.shape[0] > 1 else 1.0
         error = peak_localization_error(values, positions, truth_positions, spacing)
         rows.append((entries["method"], entries["measure"], error))
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["method", "measure", "localization_error"])
-        for method, measure, error in rows:
-            writer.writerow([method, measure, repr(error)])
+    write_table(args.out, ["method", "measure", "localization_error"], rows)
     for method, measure, error in rows:
         print(f"{method} {measure}: localization error {error:.3f} grid spacings")
     return 0

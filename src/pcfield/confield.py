@@ -14,17 +14,14 @@ matrix-vector product per seed.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     DimensionError,
-    FormatError,
     SingularMatrixError,
     ValidationError,
 )
@@ -37,9 +34,13 @@ from .forward import (
     gain_fingerprint,
     read_manifest,
     read_pcf1,
+    read_table,
     resolution_matrix,
+    rows_by_id,
+    sidecar,
     write_manifest,
     write_pcf1,
+    write_table,
 )
 from .matcore import (
     EigenDecomposition,
@@ -98,7 +99,7 @@ class ConnectivityFactor:
             raise ValidationError(f"unknown factor method {self.method!r}")
         norms = np.linalg.norm(matrix, axis=1)
         worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-        if worst > 1e-10:
+        if not worst <= 1e-10:
             raise ValidationError(
                 f"factor rows must have unit norm (worst deviation {worst:.3e})"
             )
@@ -574,17 +575,11 @@ def dominant_component(factor) -> tuple[np.ndarray, float]:
 # persistence
 
 
-def _manifest_path(path) -> Path:
-    base = Path(path)
-    stem = base.with_suffix("") if base.suffix else base
-    return stem.parent / f"{stem.name}.manifest.csv"
-
-
 def save_factor(path, factor: ConnectivityFactor) -> None:
     """Write the factor matrix (complex PCF1) plus a CSV manifest."""
     write_pcf1(path, factor.W.astype(np.complex128))
     write_manifest(
-        _manifest_path(path),
+        sidecar(path, "manifest"),
         {
             "method": factor.method,
             "band_lo": repr(factor.band[0]),
@@ -597,22 +592,28 @@ def save_factor(path, factor: ConnectivityFactor) -> None:
 
 def load_factor(path) -> ConnectivityFactor:
     matrix = read_pcf1(path)
-    manifest_path = _manifest_path(path)
+    # A factor built from a bare matrix has no band and stores NaN, which
+    # np.float64 parses and the finite-only float columns would refuse.
     entries = read_manifest(
-        manifest_path, ("method", "band_lo", "band_hi", "fingerprint", "effective_rank")
+        sidecar(path, "manifest"),
+        {
+            "method": str,
+            "band_lo": np.float64,
+            "band_hi": np.float64,
+            "fingerprint": str,
+            "effective_rank": int,
+        },
     )
-    try:
-        band = (float(entries["band_lo"]), float(entries["band_hi"]))
-        rank = int(entries["effective_rank"])
-    except ValueError as exc:
-        raise FormatError(f"{manifest_path}: {exc}") from exc
     return ConnectivityFactor(
         W=np.asarray(matrix, dtype=np.complex128),
         method=entries["method"],
-        band=band,
+        band=(entries["band_lo"], entries["band_hi"]),
         fingerprint=entries["fingerprint"],
-        effective_rank=rank,
+        effective_rank=entries["effective_rank"],
     )
+
+
+_MAP_COLUMNS = {"voxel_id": int, "x": float, "y": float, "z": float, "value": float}
 
 
 def write_map_csv(path, seeded: SeededMap, voxels: VoxelGrid) -> None:
@@ -621,37 +622,11 @@ def write_map_csv(path, seeded: SeededMap, voxels: VoxelGrid) -> None:
         raise DimensionError(
             f"map covers {seeded.n_voxels} voxels, grid has {len(voxels)}"
         )
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["voxel_id", "x", "y", "z", "value"])
-        for index, (position, value) in enumerate(zip(voxels.positions, seeded.values)):
-            writer.writerow(
-                [index] + [repr(float(c)) for c in position] + [repr(float(value))]
-            )
+    rows = enumerate(zip(voxels.positions.tolist(), seeded.values.tolist()))
+    write_table(path, _MAP_COLUMNS, ([i, *xyz, value] for i, (xyz, value) in rows))
 
 
 def read_map_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a map CSV; returns (positions, values) in voxel-id order."""
-    rows: list[tuple[int, float, float, float, float]] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "voxel_id", "x", "y", "z", "value",
-        ]:
-            raise FormatError(f"{path}: expected header voxel_id,x,y,z,value")
-        for line in reader:
-            if len(line) != 5:
-                raise FormatError(f"{path}: malformed row {line!r}")
-            rows.append(
-                (int(line[0]), float(line[1]), float(line[2]), float(line[3]), float(line[4]))
-            )
-    if not rows:
-        raise FormatError(f"{path}: no map rows")
-    rows.sort(key=lambda row: row[0])
-    ids = [row[0] for row in rows]
-    if ids != list(range(len(rows))):
-        raise FormatError(f"{path}: voxel ids must be 0..{len(rows) - 1} without gaps")
-    positions = np.array([[row[1], row[2], row[3]] for row in rows])
-    values = np.array([row[4] for row in rows])
-    return positions, values
+    table = np.array(rows_by_id(path, read_table(path, _MAP_COLUMNS)[1]))
+    return table[:, :3], table[:, 3]

@@ -16,15 +16,21 @@ PCF1 matrix container (little-endian throughout)::
     bytes 9-12  cols, uint32
     bytes 13-   row-major float64 payload
 
-Geometry sidecars are plain CSV: ``label,x,y,z`` for electrodes and
-``id,x,y,z`` for voxels. Metadata sidecars (cross-spectrum meta, factor and
-map manifests) are ``key,value`` CSV read and written by
-:func:`read_manifest` and :func:`write_manifest`.
+Every CSV file of the package goes through the table layer here.
+:func:`write_table` writes floats with ``repr``, so round trips are exact.
+:func:`read_table` holds the rules all tables share: exact header, exact
+field count, typed fields, finite numbers, at least one row; a breach is a
+FormatError naming the file and line. :func:`rows_by_id` checks voxel ids
+``0..n-1``, :func:`sidecar` names the ``<stem>.<kind>.csv`` files next to a
+PCF1 matrix, and :func:`read_manifest` / :func:`write_manifest` handle the
+``key,value`` metadata tables.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,7 +81,7 @@ class ElectrodeArray:
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("electrode labels must be unique")
         norms = np.linalg.norm(positions, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValidationError("electrode positions must be unit norm")
         positions.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -454,7 +460,7 @@ def mp_symmetry_defect(leadfield, inverse: InverseOperator) -> float:
 
 
 # ---------------------------------------------------------------------------
-# PCF1 container and geometry sidecars
+# PCF1 container
 
 
 def write_pcf1(path, matrix) -> None:
@@ -475,131 +481,170 @@ def write_pcf1(path, matrix) -> None:
 
 
 def read_pcf1(path) -> np.ndarray:
-    """Read a PCF1 matrix file; returns float64 or complex128."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 13:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    if raw[:4] != _PCF1_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    dtype_code, rows, cols = struct.unpack("<BII", raw[4:13])
-    if dtype_code not in (_PCF1_REAL, _PCF1_COMPLEX):
-        raise FormatError(f"{path}: unknown dtype code {dtype_code}")
-    item = np.dtype("<f8") if dtype_code == _PCF1_REAL else np.dtype("<c16")
-    expected = 13 + rows * cols * item.itemsize
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(raw) - 13} bytes, expected {expected - 13} "
-            f"for a {rows}x{cols} matrix"
-        )
-    matrix = np.frombuffer(raw, dtype=item, offset=13).reshape(rows, cols)
+    """Read a PCF1 matrix file; returns float64 or complex128.
+
+    The header's shape is checked against the file size before any payload
+    is read.
+    """
+    with open(path, "rb") as handle:
+        head = handle.read(13)
+        if len(head) < 13:
+            raise FormatError(f"{path}: truncated header ({len(head)} bytes)")
+        if head[:4] != _PCF1_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}")
+        dtype_code, rows, cols = struct.unpack("<BII", head[4:13])
+        if dtype_code not in (_PCF1_REAL, _PCF1_COMPLEX):
+            raise FormatError(f"{path}: unknown dtype code {dtype_code}")
+        item = np.dtype("<f8") if dtype_code == _PCF1_REAL else np.dtype("<c16")
+        payload = os.fstat(handle.fileno()).st_size - 13
+        if payload != rows * cols * item.itemsize:
+            raise FormatError(
+                f"{path}: payload is {payload} bytes, expected "
+                f"{rows * cols * item.itemsize} for a {rows}x{cols} matrix"
+            )
+        matrix = np.fromfile(handle, dtype=item, count=rows * cols)
     if not np.all(np.isfinite(matrix)):
         raise FormatError(f"{path}: matrix contains non-finite entries")
     native = np.float64 if dtype_code == _PCF1_REAL else np.complex128
-    return matrix.astype(native)
+    return matrix.reshape(rows, cols).astype(native, copy=False)
+
+
+# ---------------------------------------------------------------------------
+# CSV tables and geometry sidecars
+
+
+def sidecar(path, kind: str) -> Path:
+    """``<stem>.<kind>.csv`` next to ``path``, as ``lf.voxels.csv`` for ``lf.pcf``."""
+    stem = Path(path).with_suffix("")
+    return stem.parent / f"{stem.name}.{kind}.csv"
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def _parser(kind):
+    return _finite if kind is float else kind
+
+
+def write_table(path, header, rows) -> None:
+    """Write a header (a columns dict writes its names) and ``rows`` as CSV.
+
+    Feed numpy data through ``.tolist()``: Python floats are written with
+    ``repr``, numpy scalars would not be.
+    """
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path, columns: dict, rest=None) -> tuple[list[str], list[list]]:
+    """Read a CSV table whose header is exactly the names of ``columns``.
+
+    ``columns`` maps each name to the type its fields convert by; ``float``
+    fields must be finite. With ``rest`` set, one or more further columns
+    of any name follow, converted by ``rest``. Returns the stripped header
+    and the converted rows, in file order.
+    """
+    names = list(columns)
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = [name.strip() for name in next(reader, [])]
+        extra = len(header) - len(names)
+        if header[: len(names)] != names or (extra > 0) != (rest is not None):
+            shape = ",".join(names + (["..."] if rest is not None else []))
+            raise FormatError(f"{path}: expected header {shape}")
+        parsers = [_parser(kind) for kind in [*columns.values(), *[rest] * extra]]
+        rows = []
+        for line in reader:
+            if len(line) != len(parsers):
+                raise FormatError(
+                    f"{path}:{reader.line_num}: expected {len(parsers)} fields, "
+                    f"got {len(line)}"
+                )
+            try:
+                rows.append([parse(text) for parse, text in zip(parsers, line)])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise FormatError(f"{path}: no rows")
+    return header, rows
+
+
+def rows_by_id(path, rows: list[list]) -> list[list]:
+    """Rows sorted by their leading id, which must run 0..n-1; ids dropped."""
+    rows = sorted(rows, key=lambda row: row[0])
+    if [row[0] for row in rows] != list(range(len(rows))):
+        raise FormatError(f"{path}: ids must be 0..{len(rows) - 1} without gaps")
+    return [row[1:] for row in rows]
 
 
 def write_manifest(path, entries: dict) -> None:
     """Write ``key,value`` rows under a ``key,value`` header, in dict order."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["key", "value"])
-        writer.writerows(entries.items())
+    write_table(path, ("key", "value"), entries.items())
 
 
-def read_manifest(path, required: tuple[str, ...]) -> dict[str, str]:
-    """Read a ``key,value`` manifest; a wrong header, a row without exactly
-    two fields, a duplicate key or a missing required key is a FormatError."""
-    entries: dict[str, str] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["key", "value"]:
-            raise FormatError(f"{path}: expected header key,value")
-        for line in reader:
-            if len(line) != 2:
-                raise FormatError(f"{path}: malformed row {line!r}")
-            key = line[0].strip()
-            if key in entries:
-                raise FormatError(f"{path}: duplicate key {key!r}")
-            entries[key] = line[1]
+def read_manifest(path, required: tuple[str, ...] | dict) -> dict:
+    """Read a ``key,value`` table; a duplicate or missing key is a FormatError.
+
+    ``required`` names the keys that must be present. When it is a dict, it
+    maps each to the type its value converts by, as a table column would.
+    """
+    entries: dict = {}
+    for key, value in read_table(path, {"key": str.strip, "value": str})[1]:
+        if key in entries:
+            raise FormatError(f"{path}: duplicate key {key!r}")
+        entries[key] = value
     missing = [key for key in required if key not in entries]
     if missing:
         raise FormatError(f"{path}: missing keys {missing}")
+    if isinstance(required, dict):
+        for key, kind in required.items():
+            try:
+                entries[key] = _parser(kind)(entries[key])
+            except ValueError as exc:
+                raise FormatError(f"{path}: {key}: {exc}") from None
     return entries
 
 
-def _sidecar_paths(path) -> tuple[Path, Path]:
-    base = Path(path)
-    stem = base.with_suffix("") if base.suffix else base
-    return (
-        stem.parent / f"{stem.name}.electrodes.csv",
-        stem.parent / f"{stem.name}.voxels.csv",
-    )
+_ELECTRODE_COLUMNS = {"label": str, "x": float, "y": float, "z": float}
+_VOXEL_COLUMNS = {"id": int, "x": float, "y": float, "z": float}
 
 
 def write_electrodes_csv(path, electrodes: ElectrodeArray) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["label", "x", "y", "z"])
-        for label, position in zip(electrodes.labels, electrodes.positions):
-            writer.writerow([label] + [repr(float(c)) for c in position])
+    rows = zip(electrodes.labels, electrodes.positions.tolist())
+    write_table(path, _ELECTRODE_COLUMNS, ([label, *xyz] for label, xyz in rows))
 
 
 def read_electrodes_csv(path) -> ElectrodeArray:
-    labels: list[str] = []
-    rows: list[list[float]] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["label", "x", "y", "z"]:
-            raise FormatError(f"{path}: expected header label,x,y,z")
-        for line in reader:
-            if len(line) != 4:
-                raise FormatError(f"{path}: malformed row {line!r}")
-            labels.append(line[0])
-            rows.append([float(line[1]), float(line[2]), float(line[3])])
-    if not labels:
-        raise FormatError(f"{path}: no electrode rows")
-    return ElectrodeArray(labels=tuple(labels), positions=np.array(rows))
+    _, rows = read_table(path, _ELECTRODE_COLUMNS)
+    return ElectrodeArray(
+        labels=tuple(row[0] for row in rows),
+        positions=np.array([row[1:] for row in rows]),
+    )
 
 
 def write_voxels_csv(path, voxels: VoxelGrid) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "x", "y", "z"])
-        for index, position in enumerate(voxels.positions):
-            writer.writerow([index] + [repr(float(c)) for c in position])
+    rows = enumerate(voxels.positions.tolist())
+    write_table(path, _VOXEL_COLUMNS, ([index, *xyz] for index, xyz in rows))
 
 
 def read_voxels_csv(path, spacing: float | None = None) -> VoxelGrid:
-    rows: list[tuple[int, float, float, float]] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["id", "x", "y", "z"]:
-            raise FormatError(f"{path}: expected header id,x,y,z")
-        for line in reader:
-            if len(line) != 4:
-                raise FormatError(f"{path}: malformed row {line!r}")
-            rows.append((int(line[0]), float(line[1]), float(line[2]), float(line[3])))
-    if not rows:
-        raise FormatError(f"{path}: no voxel rows")
-    rows.sort(key=lambda row: row[0])
-    ids = [row[0] for row in rows]
-    if ids != list(range(len(rows))):
-        raise FormatError(f"{path}: voxel ids must be 0..{len(rows) - 1} without gaps")
-    positions = np.array([[row[1], row[2], row[3]] for row in rows])
+    positions = np.array(rows_by_id(path, read_table(path, _VOXEL_COLUMNS)[1]))
     if spacing is None:
-        spacing = min_nn_distance(positions) if len(rows) > 1 else 1.0
+        spacing = min_nn_distance(positions) if len(positions) > 1 else 1.0
     return VoxelGrid(positions=positions, spacing=spacing)
 
 
 def save_leadfield(leadfield: LeadField, path) -> None:
     """Write gain matrix (PCF1) plus electrode and voxel CSV sidecars."""
     write_pcf1(path, leadfield.gain)
-    electrode_path, voxel_path = _sidecar_paths(path)
-    write_electrodes_csv(electrode_path, leadfield.electrodes)
-    write_voxels_csv(voxel_path, leadfield.voxels)
+    write_electrodes_csv(sidecar(path, "electrodes"), leadfield.electrodes)
+    write_voxels_csv(sidecar(path, "voxels"), leadfield.voxels)
 
 
 def load_leadfield(path) -> LeadField:
@@ -611,7 +656,6 @@ def load_leadfield(path) -> LeadField:
     gain = read_pcf1(path)
     if np.iscomplexobj(gain):
         raise FormatError(f"{path}: lead field must be real, found complex dtype")
-    electrode_path, voxel_path = _sidecar_paths(path)
-    electrodes = read_electrodes_csv(electrode_path)
-    voxels = read_voxels_csv(voxel_path)
+    electrodes = read_electrodes_csv(sidecar(path, "electrodes"))
+    voxels = read_voxels_csv(sidecar(path, "voxels"))
     return LeadField(gain=gain, electrodes=electrodes, voxels=voxels)

@@ -16,7 +16,6 @@ bio-noise locations before bio-noise amplitudes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .confield import (
     write_map_csv,
 )
 from .errors import FormatError, ValidationError
-from .forward import LeadField, electrode_seed_voxels, min_norm_inverse
+from .forward import LeadField, electrode_seed_voxels, min_norm_inverse, write_table
 from .spectra import EpochedRecording, band_cross_spectrum
 
 #: Analysis band of the reference experiment, Hz.
@@ -386,29 +385,15 @@ def write_report(report: ExperimentReport, directory, voxels) -> None:
         for entry in maps:
             write_map_csv(base / f"{family}_seed_{entry.seed}.csv", entry, voxels)
         write_map_csv(base / f"{family}_composite.csv", composite, voxels)
-    with open(base / "summary.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["method", "seed", "localization_error", "snr", "effective_rank"]
-        )
-        writer.writerow(
-            [
-                "classical_lagged",
-                report.config.seed,
-                repr(report.classical_error),
-                repr(report.snr),
-                report.effective_rank,
-            ]
-        )
-        writer.writerow(
-            [
-                "partial_lagged",
-                report.config.seed,
-                repr(report.partial_error),
-                repr(report.snr),
-                report.effective_rank,
-            ]
-        )
+    seed, snr, rank = report.config.seed, report.snr, report.effective_rank
+    write_table(
+        base / "summary.csv",
+        ["method", "seed", "localization_error", "snr", "effective_rank"],
+        [
+            ["classical_lagged", seed, report.classical_error, snr, rank],
+            ["partial_lagged", seed, report.partial_error, snr, rank],
+        ],
+    )
     config_on_disk = report.config
     if config_on_disk.source_voxels is None:
         config_on_disk = replace(

@@ -16,14 +16,14 @@ and with it the last bits.
 
 from __future__ import annotations
 
-import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionError, FormatError, ValidationError
+from .forward import read_table, write_table
 from .matcore import EigenDecomposition, HermitianMatrix, psd_eig
 
 
@@ -216,14 +216,12 @@ def band_cross_spectrum(
 def write_epochs_csv(path, rec: EpochedRecording) -> None:
     """Write epochs as `epoch,t,<ch...>` rows, 1-based indices, full precision."""
     labels = rec.labels or tuple(f"ch{i + 1}" for i in range(rec.n_channels))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "t", *labels])
-        for i in range(rec.n_epochs):
-            for t in range(rec.n_samples):
-                row = [i + 1, t + 1]
-                row.extend(repr(float(v)) for v in rec.data[i, t])
-                writer.writerow(row)
+    rows = (
+        [i + 1, t + 1, *sample]
+        for i, epoch in enumerate(rec.data.tolist())
+        for t, sample in enumerate(epoch)
+    )
+    write_table(path, ["epoch", "t", *labels], rows)
 
 
 def read_epochs_csv(path, rate: float) -> EpochedRecording:
@@ -232,44 +230,17 @@ def read_epochs_csv(path, rate: float) -> EpochedRecording:
     Rows must be sorted by (epoch, t) and every epoch must contain the same
     number of samples.
     """
-    path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 3:
-            raise FormatError(f"{path}: expected header epoch,t,<channels...>")
-        if [h.strip() for h in header[:2]] != ["epoch", "t"]:
-            raise FormatError(f"{path}: header must start with epoch,t")
-        labels = tuple(h.strip() for h in header[2:])
-        n_channels = len(labels)
-        rows: list[tuple[int, int, list[float]]] = []
-        for number, line in enumerate(reader, start=2):
-            if len(line) != 2 + n_channels:
-                raise FormatError(
-                    f"{path}:{number}: expected {2 + n_channels} fields, got {len(line)}"
-                )
-            try:
-                epoch_id = int(line[0])
-                sample_id = int(line[1])
-                values = [float(v) for v in line[2:]]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{number}: {exc}") from exc
-            rows.append((epoch_id, sample_id, values))
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
+    header, rows = read_table(path, {"epoch": int, "t": int}, rest=float)
     keys = [(r[0], r[1]) for r in rows]
     if keys != sorted(keys):
         raise FormatError(f"{path}: rows are not sorted by (epoch, t)")
     if len(set(keys)) != len(keys):
         raise FormatError(f"{path}: duplicate (epoch, t) rows")
-    epoch_ids = sorted({r[0] for r in rows})
-    counts = {e: 0 for e in epoch_ids}
-    for e, _, _ in rows:
-        counts[e] += 1
+    counts = Counter(epoch for epoch, _ in keys)
     sizes = set(counts.values())
     if len(sizes) != 1:
         raise FormatError(f"{path}: epochs have unequal sample counts {sorted(sizes)}")
     n_samples = sizes.pop()
-    data = np.array([r[2] for r in rows], dtype=np.float64)
-    data = data.reshape(len(epoch_ids), n_samples, n_channels)
-    return EpochedRecording(data=data, rate=rate, labels=labels)
+    data = np.array([r[2:] for r in rows], dtype=np.float64)
+    data = data.reshape(len(counts), n_samples, len(header) - 2)
+    return EpochedRecording(data=data, rate=rate, labels=tuple(header[2:]))

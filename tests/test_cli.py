@@ -397,6 +397,58 @@ class TestCompareCommand:
         assert code == 66
 
 
+def with_bad_cell(source, dest, cell):
+    """Copy a CSV table with the last field of its first row set to ``cell``."""
+    lines = source.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + cell
+    dest.write_text("\n".join(lines) + "\n")
+    return dest
+
+
+class TestMalformedTables:
+    """A bad cell in any table the CLI reads is a format error, exit 2."""
+
+    @pytest.mark.parametrize("cell", ["zero", "nan"])
+    def test_render_bad_map_value(self, pipeline, tmp_path, capsys, cell):
+        bad = with_bad_cell(
+            pipeline["maps"]["partial"] / "composite.csv", tmp_path / "map.csv", cell
+        )
+        assert run_cli("render", "--map", bad, "--out", tmp_path / "x.ppm") == 2
+        assert "map.csv:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["zero", "nan"])
+    def test_compare_bad_truth_coordinate(self, pipeline, tmp_path, cell):
+        truth = with_bad_cell(pipeline["sim"] / "truth.csv", tmp_path / "truth.csv", cell)
+        code = run_cli(
+            "compare", "--maps", pipeline["maps"]["partial"], "--truth", truth,
+            "--out", tmp_path / "s.csv",
+        )
+        assert code == 2
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("cell", ["zero", "nan"])
+    @pytest.mark.parametrize("sidecar", ["voxels", "electrodes"])
+    def test_simulate_bad_sidecar(self, pipeline, tmp_path, sidecar, cell):
+        for suffix in (".pcf", ".voxels.csv", ".electrodes.csv"):
+            shutil.copy(pipeline["root"] / f"lf{suffix}", tmp_path / f"lf{suffix}")
+        table = tmp_path / f"lf.{sidecar}.csv"
+        with_bad_cell(table, table, cell)
+        lf = tmp_path / "lf.pcf"
+        assert run_cli("simulate", "--leadfield", lf, "--out", tmp_path / "s") == 2
+
+    @pytest.mark.parametrize("cell", ["zero", "nan"])
+    @pytest.mark.parametrize("table", ["voxels", "electrodes"])
+    def test_leadfield_bad_import(self, pipeline, tmp_path, table, cell):
+        bad = with_bad_cell(
+            pipeline["root"] / f"lf.{table}.csv", tmp_path / f"{table}.csv", cell
+        )
+        source = ["--voxels", bad] if table == "voxels" else ["--grid", 0.2]
+        montage = ["--electrodes", bad] if table == "electrodes" else ["--builtin-1020"]
+        code = run_cli("leadfield", *montage, *source, "--out", tmp_path / "lf.pcf")
+        assert code == 2
+        assert not (tmp_path / "lf.pcf").exists()
+
+
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self):
         assert run_cli() == 64

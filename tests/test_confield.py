@@ -172,6 +172,16 @@ class TestPartialField:
                 effective_rank=2,
             )
 
+    def test_nan_row_rejected_at_construction(self):
+        with pytest.raises(ValidationError):
+            ConnectivityFactor(
+                W=np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                method="partial",
+                band=(8.0, 12.0),
+                fingerprint="0" * 64,
+                effective_rank=2,
+            )
+
 
 def implied_field(gain, spectrum):
     factor = partial_field(gain, spectrum)
@@ -195,6 +205,9 @@ class TestFieldInvariances:
         order = rng.permutation(16)
         permuted = implied_field(gain[:, order], spectrum)
         assert np.max(np.abs(permuted - field[np.ix_(order, order)])) <= 1e-12
+        channels = rng.permutation(5)
+        relabelled = implied_field(gain[channels], spectrum[np.ix_(channels, channels)])
+        assert np.max(np.abs(relabelled - field)) <= 1e-12
 
 
 class TestSingleEigendecomposition:

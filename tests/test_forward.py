@@ -21,6 +21,8 @@ from pcfield import (
     min_norm_inverse,
     mp_symmetry_defect,
     read_electrodes_csv,
+    read_epochs_csv,
+    read_map_csv,
     read_pcf1,
     read_voxels_csv,
     resolution_matrix,
@@ -34,6 +36,8 @@ from pcfield import (
     write_pcf1,
     write_voxels_csv,
 )
+from pcfield.cli import _read_truth_sources
+from pcfield.forward import read_manifest
 
 LEFT = ("Fp1", "F7", "F3", "T3", "C3", "T5", "P3", "O1")
 RIGHT = ("Fp2", "F8", "F4", "T4", "C4", "T6", "P4", "O2")
@@ -95,6 +99,11 @@ class TestMontage:
     def test_off_sphere_rejected(self):
         with pytest.raises(ValidationError):
             ElectrodeArray(labels=("A",), positions=np.array([[0.0, 0.0, 0.9]]))
+
+    def test_nan_position_rejected(self):
+        positions = np.array([[np.nan, np.nan, np.nan], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValidationError):
+            ElectrodeArray(labels=("A", "B"), positions=positions)
 
 
 class TestGrid:
@@ -415,3 +424,65 @@ class TestGeometryCsv:
         write_pcf1(path, np.eye(3, dtype=np.complex128))
         with pytest.raises(FormatError, match="complex"):
             load_leadfield(path)
+
+
+# One valid table per reader. The last field of the first row is a number,
+# and the first header name is fixed (the epochs table's channel names are not).
+TABLE_READERS = {
+    "electrodes": (
+        "label,x,y,z\nCz,0.0,0.0,1.0\nFz,0.0,1.0,0.0\n",
+        read_electrodes_csv,
+    ),
+    "voxels": ("id,x,y,z\n0,0.0,0.0,0.0\n1,0.5,0.0,0.0\n", read_voxels_csv),
+    "map": (
+        "voxel_id,x,y,z,value\n0,0.0,0.0,0.0,0.5\n1,0.5,0.0,0.0,1.0\n",
+        read_map_csv,
+    ),
+    "truth": (
+        "role,voxel_id,x,y,z\nsource,0,0.0,0.0,0.0\nbio,1,0.5,0.0,0.0\n",
+        _read_truth_sources,
+    ),
+    "epochs": (
+        "epoch,t,Fp1,O2\n1,1,0.5,0.25\n1,2,0.125,0.0\n",
+        lambda path: read_epochs_csv(path, rate=64.0),
+    ),
+    "manifest": (
+        "key,value\nband_lo,8.0\nn_epochs,100\n",
+        lambda path: read_manifest(path, {"band_lo": float, "n_epochs": int}),
+    ),
+}
+
+
+def corrupt_table(text, defect):
+    header, first, *rest = text.splitlines()
+    cells = first.split(",")
+    if defect == "no_rows":
+        return header + "\n"
+    if defect == "wrong_header":
+        header = "bogus" + header
+    elif defect == "short_row":
+        cells.pop()
+    elif defect == "extra_field":
+        cells.append("0.0")
+    else:
+        cells[-1] = {"non_numeric": "zero", "nan": "nan", "inf": "-inf"}[defect]
+    return "\n".join([header, ",".join(cells), *rest]) + "\n"
+
+
+class TestTableReaders:
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            "non_numeric", "nan", "inf", "short_row", "extra_field", "wrong_header",
+            "no_rows",
+        ],
+    )
+    @pytest.mark.parametrize("table", sorted(TABLE_READERS))
+    def test_malformed_table_is_format_error(self, tmp_path, table, defect):
+        text, read = TABLE_READERS[table]
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        read(path)  # the valid table reads
+        path.write_text(corrupt_table(text, defect))
+        with pytest.raises(FormatError, match="table.csv"):
+            read(path)
