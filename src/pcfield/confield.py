@@ -26,11 +26,11 @@ from .errors import (
     ValidationError,
 )
 from .forward import (
-    InverseOperator,
     LeadField,
     RANK_TOL,
     VoxelGrid,
-    _as_gain,
+    _full_rank_gain,
+    _inverse_matrix,
     gain_fingerprint,
     read_manifest,
     read_pcf1,
@@ -47,6 +47,7 @@ from .matcore import (
     ReflexiveCheck,
     _relative_residual,
     as_hermitian,
+    is_reflexive_ginverse,
     psd_eig,
 )
 from .spectra import CrossSpectrum
@@ -223,26 +224,6 @@ def _spectrum_band(spectrum) -> tuple[float, float]:
             return spectrum.band
         return (spectrum.frequency, spectrum.frequency)
     return (math.nan, math.nan)
-
-
-def _inverse_matrix(inverse) -> np.ndarray:
-    if isinstance(inverse, InverseOperator):
-        return inverse.matrix
-    matrix = np.asarray(inverse, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise DimensionError("inverse operator must be a 2-d matrix")
-    return matrix
-
-
-def _full_rank_gain(leadfield) -> np.ndarray:
-    """Gain matrix with the full-row-rank precondition enforced."""
-    gain = _as_gain(leadfield)
-    if isinstance(leadfield, LeadField):
-        return gain  # already validated at construction
-    singular_values = np.linalg.svd(gain, compute_uv=False)
-    if singular_values[-1] <= RANK_TOL * singular_values[0]:
-        raise SingularMatrixError("gain matrix is not of full row rank")
-    return gain
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +512,7 @@ def resolution_check(leadfield, source_covariance, tol: float = 1e-8) -> Reflexi
         raise SingularMatrixError("implied sensor covariance is singular")
     ginverse = gain.T @ np.linalg.solve(sensor, gain)
     projector = resolution_matrix(gain)
-    filtered = projector @ truth.values @ projector
-    ginverse_residual = _relative_residual(
-        filtered @ ginverse @ filtered - filtered, filtered
-    )
-    reflexive_residual = _relative_residual(
-        ginverse @ filtered @ ginverse - ginverse, ginverse
-    )
-    return ReflexiveCheck(
-        is_reflexive=ginverse_residual <= tol and reflexive_residual <= tol,
-        ginverse_residual=ginverse_residual,
-        reflexive_residual=reflexive_residual,
-    )
+    return is_reflexive_ginverse(projector @ truth.values @ projector, ginverse, tol)
 
 
 def dominant_component(factor) -> tuple[np.ndarray, float]:

@@ -250,14 +250,7 @@ class LeadField:
             )
         if not np.all(np.isfinite(gain)):
             raise ValidationError("gain matrix contains non-finite entries")
-        singular_values = np.linalg.svd(gain, compute_uv=False)
-        if singular_values[-1] <= RANK_TOL * singular_values[0]:
-            raise SingularMatrixError(
-                "gain matrix is not of full row rank "
-                f"(singular values span [{singular_values[-1]:.3e}, "
-                f"{singular_values[0]:.3e}]); perturb the voxel grid or "
-                "electrode layout"
-            )
+        _full_rank_gain(gain)
         gain.setflags(write=False)
         object.__setattr__(self, "gain", gain)
 
@@ -343,27 +336,54 @@ def _as_gain(leadfield) -> np.ndarray:
     return gain
 
 
-def _verify_right_inverse(gain: np.ndarray, matrix: np.ndarray, kind: str) -> None:
+def _inverse_matrix(inverse) -> np.ndarray:
+    if isinstance(inverse, InverseOperator):
+        return inverse.matrix
+    matrix = np.asarray(inverse, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise DimensionError("inverse operator must be a 2-d matrix")
+    return matrix
+
+
+def _full_rank_gain(leadfield) -> np.ndarray:
+    """Gain matrix with the full-row-rank precondition enforced.
+
+    A LeadField passed the check at construction and is not checked again.
+    """
+    gain = _as_gain(leadfield)
+    if isinstance(leadfield, LeadField):
+        return gain
+    singular_values = np.linalg.svd(gain, compute_uv=False)
+    if singular_values[-1] <= RANK_TOL * singular_values[0]:
+        raise SingularMatrixError(
+            "gain matrix is not of full row rank "
+            f"(singular values span [{singular_values[-1]:.3e}, "
+            f"{singular_values[0]:.3e}]); perturb the voxel grid or "
+            "electrode layout"
+        )
+    return gain
+
+
+def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
+    """``T = (K W)' (K W K')^(-1)`` for ``weighted_gain = K W``; checks ``K T = I``."""
+    try:
+        solved = np.linalg.solve(weighted_gain @ gain.T, weighted_gain)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"K W K' is numerically singular: {exc}") from exc
+    matrix = solved.T
     identity_defect = np.linalg.norm(gain @ matrix - np.eye(gain.shape[0]))
     if identity_defect > 1e-8:
         raise SingularMatrixError(
-            f"{kind} inverse failed the K T = I check "
-            f"(defect {identity_defect:.3e}); gain matrix is too "
-            "ill-conditioned"
+            f"right inverse failed the K T = I check (defect "
+            f"{identity_defect:.3e}); gain matrix is too ill-conditioned"
         )
+    return matrix
 
 
 def min_norm_inverse(leadfield) -> InverseOperator:
     """Minimum-norm inverse ``T = K' (K K')^(-1)``."""
     gain = _as_gain(leadfield)
-    gram = gain @ gain.T
-    try:
-        solved = np.linalg.solve(gram, gain)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"K K' is numerically singular: {exc}") from exc
-    matrix = solved.T
-    _verify_right_inverse(gain, matrix, "minimum-norm")
-    return InverseOperator(matrix=matrix, kind="minimum_norm")
+    return InverseOperator(matrix=_right_inverse(gain, gain), kind="minimum_norm")
 
 
 def weighted_inverse(leadfield, weights) -> InverseOperator:
@@ -376,14 +396,7 @@ def weighted_inverse(leadfield, weights) -> InverseOperator:
         )
     if np.any(weight_vector <= 0) or not np.all(np.isfinite(weight_vector)):
         raise ValidationError("weights must be finite and strictly positive")
-    weighted_gain = gain * weight_vector[None, :]
-    gram = weighted_gain @ gain.T
-    try:
-        solved = np.linalg.solve(gram, weighted_gain)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"K W K' is numerically singular: {exc}") from exc
-    matrix = solved.T
-    _verify_right_inverse(gain, matrix, "weighted")
+    matrix = _right_inverse(gain, gain * weight_vector[None, :])
     return InverseOperator(matrix=matrix, kind="weighted", weights=weight_vector)
 
 
@@ -400,11 +413,13 @@ def forward_project(leadfield, sources) -> np.ndarray:
 
 
 def resolution_matrix(leadfield) -> np.ndarray:
-    """Dense resolution matrix ``H = K' (K K')^(-1) K``.
+    """Dense resolution matrix ``H = T K`` of the minimum-norm inverse ``T``.
 
-    ``H`` is the symmetric idempotent projector onto the row space of the
-    gain matrix; its trace equals the electrode count. Refused above
-    ``MAX_DENSE_VOXELS`` voxels; use :func:`resolution_operator` there.
+    ``H = K' (K K')^(-1) K`` is the symmetric idempotent projector onto the
+    row space of the gain matrix; its trace equals the electrode count. A
+    gain :func:`min_norm_inverse` refuses raises SingularMatrixError here
+    too. Refused above ``MAX_DENSE_VOXELS`` voxels; use
+    :func:`resolution_operator` there.
     """
     gain = _as_gain(leadfield)
     if gain.shape[1] > MAX_DENSE_VOXELS:
@@ -412,51 +427,45 @@ def resolution_matrix(leadfield) -> np.ndarray:
             f"{gain.shape[1]} voxels would materialize a "
             f"{gain.shape[1]}x{gain.shape[1]} matrix; use resolution_operator"
         )
-    try:
-        solved = np.linalg.solve(gain @ gain.T, gain)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"K K' is numerically singular: {exc}") from exc
-    dense = gain.T @ solved
+    dense = _right_inverse(gain, gain) @ gain
     return (dense + dense.T) / 2.0
 
 
 def resolution_operator(leadfield):
-    """Matrix-free form of the resolution matrix: a callable ``x -> H x``."""
+    """Matrix-free resolution matrix: a callable ``v -> T (K v)``.
+
+    ``T`` is the minimum-norm inverse, verified as :func:`min_norm_inverse`
+    verifies it, so the operator is idempotent to rounding or not built.
+    """
     gain = _as_gain(leadfield)
-    try:
-        gram_inverse = np.linalg.inv(gain @ gain.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"K K' is numerically singular: {exc}") from exc
+    matrix = _right_inverse(gain, gain)
 
     def apply(vector: np.ndarray) -> np.ndarray:
-        return gain.T @ (gram_inverse @ (gain @ vector))
+        return matrix @ (gain @ vector)
 
     return apply
 
 
-def mp_symmetry_defect(leadfield, inverse: InverseOperator) -> float:
-    """Asymmetry ``|(T K)' - T K|_F`` of the source-space projector.
+def mp_symmetry_defect(leadfield, inverse) -> float:
+    """Asymmetry ``|T K - (T K)'|_F`` of the source-space projector.
 
     Zero (to rounding) exactly when ``T K`` is symmetric, which holds for
     the minimum-norm inverse but fails for generic weighted inverses; this
     is what separates the reflexive estimator from a Moore-Penrose one.
-    For voxel counts above ``MAX_DENSE_VOXELS`` a trace identity avoids the
-    dense product at some cost in precision near zero.
+    With ``X = [T, K']`` and ``Y = [K', -T]`` the asymmetry is ``X Y'``,
+    so its norm is ``|R_X R_Y'|_F`` from the thin QR factors of ``X`` and
+    ``Y``: no voxel-by-voxel matrix is formed, and the result keeps full
+    precision near zero at every grid size.
     """
     gain = _as_gain(leadfield)
-    matrix = inverse.matrix if isinstance(inverse, InverseOperator) else np.asarray(inverse)
-    if matrix.shape[0] != gain.shape[1] or matrix.shape[1] != gain.shape[0]:
+    matrix = _inverse_matrix(inverse)
+    if matrix.shape != (gain.shape[1], gain.shape[0]):
         raise DimensionError(
             f"inverse shape {matrix.shape} does not match gain {gain.shape}"
         )
-    if gain.shape[1] <= MAX_DENSE_VOXELS:
-        projector = matrix @ gain
-        return float(np.linalg.norm(projector.T - projector))
-    cross = gain @ matrix  # K T, electrode-sized
-    gram_gain = gain @ gain.T
-    gram_inverse = matrix.T @ matrix
-    squared = 2.0 * (np.trace(gram_gain @ gram_inverse) - np.trace(cross @ cross))
-    return float(np.sqrt(max(squared, 0.0)))
+    r_x = np.linalg.qr(np.hstack([matrix, gain.T]), mode="r")
+    r_y = np.linalg.qr(np.hstack([gain.T, -matrix]), mode="r")
+    return float(np.linalg.norm(r_x @ r_y.T))
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +642,9 @@ def write_voxels_csv(path, voxels: VoxelGrid) -> None:
     write_table(path, _VOXEL_COLUMNS, ([index, *xyz] for index, xyz in rows))
 
 
-def read_voxels_csv(path, spacing: float | None = None) -> VoxelGrid:
+def read_voxels_csv(path) -> VoxelGrid:
     positions = np.array(rows_by_id(path, read_table(path, _VOXEL_COLUMNS)[1]))
-    if spacing is None:
-        spacing = min_nn_distance(positions) if len(positions) > 1 else 1.0
+    spacing = min_nn_distance(positions) if len(positions) > 1 else 1.0
     return VoxelGrid(positions=positions, spacing=spacing)
 
 

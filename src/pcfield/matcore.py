@@ -91,11 +91,11 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-def as_hermitian(matrix, atol: float = 0.0) -> HermitianMatrix:
+def as_hermitian(matrix) -> HermitianMatrix:
     """Coerce an array or :class:`HermitianMatrix` into a validated instance."""
     if isinstance(matrix, HermitianMatrix):
         return matrix
-    return HermitianMatrix(matrix, atol=atol)
+    return HermitianMatrix(matrix)
 
 
 @dataclass(frozen=True)

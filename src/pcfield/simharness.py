@@ -16,6 +16,7 @@ bio-noise locations before bio-noise amplitudes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -204,8 +205,16 @@ def peak_localization_error(
     Takes the top-2 entries of ``values`` (ties broken by voxel order),
     measures each source position's Euclidean distance to the nearest of
     the two peak ``positions``, and returns the larger in units of
-    ``spacing``. 0 means every source was hit exactly.
+    ``spacing``. 0 means every source was hit exactly. A non-finite input
+    or a spacing that is not positive is a ValidationError, since a NaN
+    distance would otherwise score as a perfect hit.
     """
+    inputs = {"values": values, "positions": positions, "sources": sources}
+    for name, array in inputs.items():
+        if not np.all(np.isfinite(array)):
+            raise ValidationError(f"{name} contain non-finite entries")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValidationError(f"spacing must be positive and finite, got {spacing}")
     order = np.argsort(-values, kind="stable")
     peaks = positions[order[:2]]
     worst = 0.0

@@ -17,8 +17,8 @@ and with it the last bits.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -227,20 +227,24 @@ def write_epochs_csv(path, rec: EpochedRecording) -> None:
 def read_epochs_csv(path, rate: float) -> EpochedRecording:
     """Read `epoch,t,<ch...>` rows into an EpochedRecording.
 
-    Rows must be sorted by (epoch, t) and every epoch must contain the same
-    number of samples.
+    The rows must be exactly ``epoch = 1..m`` in order and, within each
+    epoch, ``t = 1..n`` in order: a missing, repeated or out-of-order
+    sample or epoch is a FormatError naming its line, because reading past
+    a gap would shift every DFT bin.
     """
     header, rows = read_table(path, {"epoch": int, "t": int}, rest=float)
     keys = [(r[0], r[1]) for r in rows]
-    if keys != sorted(keys):
-        raise FormatError(f"{path}: rows are not sorted by (epoch, t)")
-    if len(set(keys)) != len(keys):
-        raise FormatError(f"{path}: duplicate (epoch, t) rows")
-    counts = Counter(epoch for epoch, _ in keys)
-    sizes = set(counts.values())
-    if len(sizes) != 1:
-        raise FormatError(f"{path}: epochs have unequal sample counts {sorted(sizes)}")
-    n_samples = sizes.pop()
+    n_epochs = len({epoch for epoch, _ in keys})
+    n_samples = len(keys) // n_epochs
+    expected = list(product(range(1, n_epochs + 1), range(1, n_samples + 1)))
+    if keys != expected:
+        bad = next(
+            i for i, key in enumerate(keys) if i >= len(expected) or key != expected[i]
+        )
+        raise FormatError(
+            f"{path}:{bad + 2}: (epoch, t) = {keys[bad]}; rows must run epoch "
+            f"1..{n_epochs} and t 1..{n_samples} within each epoch, in order"
+        )
     data = np.array([r[2:] for r in rows], dtype=np.float64)
-    data = data.reshape(len(counts), n_samples, len(header) - 2)
+    data = data.reshape(n_epochs, n_samples, len(header) - 2)
     return EpochedRecording(data=data, rate=rate, labels=tuple(header[2:]))

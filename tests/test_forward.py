@@ -303,6 +303,15 @@ class TestResolution:
         with pytest.raises(DimensionError, match="resolution_operator"):
             resolution_matrix(gain)
 
+    def test_near_rank_deficient_gain_refused(self):
+        # last row copies the third up to 1e-9: LU may finish, but K T != I
+        rng = np.random.default_rng(17)
+        gain = rng.standard_normal((4, 30))
+        gain[3] = gain[2] + 1e-9 * rng.standard_normal(30)
+        for derive in (min_norm_inverse, resolution_matrix, resolution_operator):
+            with pytest.raises(SingularMatrixError):
+                derive(gain)
+
 
 class TestMpSymmetryDefect:
     def test_min_norm_is_symmetric(self, small_leadfield):
@@ -331,10 +340,20 @@ class TestMpSymmetryDefect:
         direct = float(np.linalg.norm(projector.T - projector))
         assert abs(large - direct) <= 1e-6 * max(direct, 1.0)
 
+    def test_min_norm_is_symmetric_above_dense_cap(self):
+        leadfield = synth_leadfield(builtin_1020_electrodes(), spherical_grid(0.07))
+        assert leadfield.n_voxels > 2000
+        inverse = min_norm_inverse(leadfield)
+        assert mp_symmetry_defect(leadfield, inverse) <= 1e-10
+
     def test_shape_mismatch(self, small_leadfield):
         bad = InverseOperator(matrix=np.zeros((3, 19)), kind="weighted")
         with pytest.raises(DimensionError):
             mp_symmetry_defect(small_leadfield, bad)
+
+    def test_one_dimensional_inverse_rejected(self, small_leadfield):
+        with pytest.raises(DimensionError):
+            mp_symmetry_defect(small_leadfield, np.zeros(small_leadfield.n_voxels))
 
 
 class TestPcf1:

@@ -29,6 +29,7 @@ from pcfield import (
     write_config,
     write_report,
 )
+from pcfield.simharness import peak_localization_error
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +189,21 @@ class TestLocalizationError:
         composite = SeededMap(seed=None, values=values, measure="partial_lagged")
         # source 0 is 1 spacing from peak 1; source 3 is 2 spacings from peak 5
         assert localization_error(composite, truth, line_grid) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("defect", ["values", "positions", "sources", "spacing"])
+    def test_non_finite_input_rejected(self, line_grid, defect):
+        inputs = {
+            "values": np.array([0.9, 0.1, 0.1, 0.8, 0.1, 0.1]),
+            "positions": line_grid.positions.copy(),
+            "sources": line_grid.positions[[0, 3]],
+            "spacing": line_grid.spacing,
+        }
+        if defect == "spacing":
+            inputs["spacing"] = 0.0
+        else:
+            inputs[defect][-1] = np.nan
+        with pytest.raises(ValidationError):
+            peak_localization_error(**inputs)
 
     def test_grid_size_mismatch(self, truth):
         grid = VoxelGrid(positions=np.zeros((2, 3)) + np.arange(2)[:, None], spacing=1.0)

@@ -236,3 +236,22 @@ class TestEpochsCsv:
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop one sample row
         with pytest.raises(FormatError):
             read_epochs_csv(path, rate=64.0)
+
+    def test_missing_sample_rejected(self, tmp_path):
+        rec = recording_from(np.zeros((2, 3, 1)))
+        path = tmp_path / "epochs.csv"
+        write_epochs_csv(path, rec)
+        lines = path.read_text().splitlines()
+        kept = [line for line in lines if line.split(",")[1] != "2"]
+        path.write_text("\n".join(kept) + "\n")  # t = 2 gone from both epochs
+        with pytest.raises(FormatError, match=r"epochs\.csv:3"):
+            read_epochs_csv(path, rate=64.0)
+
+    def test_epoch_gap_rejected(self, tmp_path):
+        rec = recording_from(np.zeros((2, 3, 1)))
+        path = tmp_path / "epochs.csv"
+        write_epochs_csv(path, rec)
+        text = path.read_text().replace("\n2,", "\n3,")  # epochs 1 and 3
+        path.write_text(text)
+        with pytest.raises(FormatError, match=r"epochs\.csv:5"):
+            read_epochs_csv(path, rate=64.0)
