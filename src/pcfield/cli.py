@@ -280,15 +280,14 @@ def _read_xspec(path) -> CrossSpectrum:
 def _parse_seeds(text: str, leadfield: LeadField) -> list[int]:
     if text == "all-1020":
         return electrode_seed_voxels(leadfield)
-    try:
-        seeds = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    n = leadfield.n_voxels
+    if not parts or not all(part.isdecimal() and int(part) < n for part in parts):
         raise ValidationError(
-            f"--seeds must be 'all-1020' or comma-separated ids, got {text!r}"
-        ) from None
-    if not seeds:
-        raise ValidationError("empty seed list")
-    return seeds
+            f"--seeds must be 'all-1020' or comma-separated voxel ids below {n}, "
+            f"got {text!r}"
+        )
+    return [int(part) for part in parts]
 
 
 def cmd_connect(args) -> int:
@@ -386,7 +385,7 @@ def cmd_compare(args) -> int:
         base = Path(directory)
         manifest = _require_file(base / "manifest.csv")
         composite = _require_file(base / "composite.csv")
-        entries = read_manifest(manifest, ("method", "measure"))
+        entries = read_manifest(manifest, {"method": str, "measure": str})
         positions, values = read_map_csv(composite)
         spacing = min_nn_distance(positions) if positions.shape[0] > 1 else 1.0
         error = peak_localization_error(values, positions, truth_positions, spacing)

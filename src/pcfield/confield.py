@@ -26,8 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .forward import (
-    LeadField,
-    RANK_TOL,
     VoxelGrid,
     _full_rank_gain,
     _inverse_matrix,
@@ -117,8 +115,9 @@ class ConnectivityFactor:
 class ClassicalField:
     """Factored source covariance ``S_J = A A*`` from an explicit inverse.
 
-    ``diag`` holds the per-voxel source variances. A voxel with exactly
-    zero variance is dead: it cannot appear in any coherence query.
+    ``diag`` holds the per-voxel source variances, which must match the
+    squared row norms of ``A`` to ``1e-10`` of the largest one. A voxel with
+    exactly zero variance is dead: it cannot appear in any coherence query.
     """
 
     A: np.ndarray  # (n_voxels, rank) complex
@@ -132,7 +131,7 @@ class ClassicalField:
         if variances.shape != (factor.shape[0],):
             raise DimensionError("diag length does not match factor rows")
         norms = np.sum(np.abs(factor) ** 2, axis=1)
-        if not np.allclose(variances, norms, rtol=1e-10, atol=1e-10):
+        if not np.all(np.abs(variances - norms) <= 1e-10 * norms.max(initial=0.0)):
             raise ValidationError("diag does not match the factor row norms")
         factor.setflags(write=False)
         variances.setflags(write=False)
@@ -268,7 +267,7 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
     The gain matrix is pulled back through the whitener
     ``Gamma+ Lambda+^(-1/2)`` of the sensor cross-spectrum and each voxel
     row is normalized to unit length, giving the thin factor
-    (voxels x effective rank). Eigenvalues the rank tolerance zeroed are
+    (voxels x effective rank). Eigenvalues that ``RANK_TOL`` zeroed are
     left out, so a rank-deficient spectrum (fewer epochs than channels,
     for instance) takes the pseudo-inverse branch automatically.
     ``W W*`` equals the field ``E K' U U K E`` of the full inverse square
@@ -290,15 +289,11 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
             "cross-spectrum (zero factor row)"
         )
     factor = pulled_back / row_norms[:, None]
-    if isinstance(leadfield, LeadField):
-        digest = leadfield.fingerprint()
-    else:
-        digest = gain_fingerprint(gain)
     return ConnectivityFactor(
         W=factor,
         method="partial",
         band=_spectrum_band(spectrum),
-        fingerprint=digest,
+        fingerprint=gain_fingerprint(gain),
         effective_rank=rank,
     )
 
@@ -368,19 +363,14 @@ def _seed_row(source, seed: int) -> np.ndarray:
     """Complex coherence of every voxel against the seed, O(N_V * N_E)."""
     if isinstance(source, ConnectivityFactor):
         return source.W @ np.conj(source.W[seed])
-    if isinstance(source, ClassicalField):
-        dead = source.dead_voxels
-        if dead.size:
-            raise ValidationError(
-                f"{dead.size} voxel(s) have zero source variance "
-                f"(first: {int(dead[0])}); classical coherence is undefined"
-            )
-        row = source.A @ np.conj(source.A[seed])
-        return row / np.sqrt(source.diag * source.diag[seed])
-    raise ValidationError(
-        f"seeded maps need a ClassicalField or ConnectivityFactor, got "
-        f"{type(source).__name__}"
-    )
+    dead = source.dead_voxels
+    if dead.size:
+        raise ValidationError(
+            f"{dead.size} voxel(s) have zero source variance "
+            f"(first: {int(dead[0])}); classical coherence is undefined"
+        )
+    row = source.A @ np.conj(source.A[seed])
+    return row / np.sqrt(source.diag * source.diag[seed])
 
 
 def seeded_map(source, seed: int, measure: str) -> SeededMap:
@@ -449,7 +439,7 @@ def max_over_seeds(maps) -> SeededMap:
 # structural checks
 
 
-def reflexive_residuals(leadfield, spectrum, inverse, tol: float = 1e-8) -> ReflexiveCheck:
+def reflexive_residuals(leadfield, spectrum, inverse) -> ReflexiveCheck:
     """Verify that ``G = K' S+ K`` is a reflexive g-inverse of ``T S T'``.
 
     Everything stays in factored form: with ``S_J = B B*`` and ``G = C C*``
@@ -469,30 +459,26 @@ def reflexive_residuals(leadfield, spectrum, inverse, tol: float = 1e-8) -> Refl
     r_cov = np.linalg.qr(covariance_factor, mode="r")
     r_gin = np.linalg.qr(ginverse_factor, mode="r")
     mixed = covariance_factor.conj().T @ ginverse_factor
-    eye = np.eye(mixed.shape[0])
     ginverse_residual = _relative_residual(
-        r_cov @ (mixed @ mixed.conj().T - eye) @ r_cov.conj().T,
+        r_cov @ (mixed @ mixed.conj().T - np.eye(mixed.shape[0])) @ r_cov.conj().T,
         r_cov @ r_cov.conj().T,
     )
     reflexive_residual = _relative_residual(
         r_gin @ (mixed.conj().T @ mixed - np.eye(mixed.shape[1])) @ r_gin.conj().T,
         r_gin @ r_gin.conj().T,
     )
-    return ReflexiveCheck(
-        is_reflexive=ginverse_residual <= tol and reflexive_residual <= tol,
-        ginverse_residual=ginverse_residual,
-        reflexive_residual=reflexive_residual,
-    )
+    return ReflexiveCheck(ginverse_residual, reflexive_residual)
 
 
-def resolution_check(leadfield, source_covariance, tol: float = 1e-8) -> ReflexiveCheck:
+def resolution_check(leadfield, source_covariance) -> ReflexiveCheck:
     """Check the estimator against the resolution-filtered truth.
 
     For a positive definite true source covariance ``S_J``, the sensor
     covariance it generates is ``K S_J K'``, and the estimator's
     ``G = K' (K S_J K')^(-1) K`` must be a reflexive g-inverse of the
     filtered covariance ``M = H S_J H`` seen through the resolution
-    projector ``H``. Dense diagnostic, restricted to small grids.
+    projector ``H``. Both covariances must have full rank under
+    ``RANK_TOL``. Dense diagnostic, restricted to small grids.
     """
     gain = _full_rank_gain(leadfield)
     n_voxels = gain.shape[1]
@@ -503,16 +489,14 @@ def resolution_check(leadfield, source_covariance, tol: float = 1e-8) -> Reflexi
     truth = as_hermitian(source_covariance)
     if truth.dim != n_voxels:
         raise DimensionError("source covariance does not match the voxel count")
-    eigenvalues = np.linalg.eigvalsh(truth.values)
-    if eigenvalues[0] <= RANK_TOL * max(float(eigenvalues[-1]), 0.0):
+    if psd_eig(truth, context="true source covariance").rank < n_voxels:
         raise ValidationError("true source covariance must be positive definite")
     sensor = gain @ truth.values @ gain.T
-    sensor_eigs = np.linalg.eigvalsh(sensor)
-    if sensor_eigs[0] <= RANK_TOL * float(sensor_eigs[-1]):
+    if psd_eig(sensor, context="implied sensor covariance").rank < gain.shape[0]:
         raise SingularMatrixError("implied sensor covariance is singular")
     ginverse = gain.T @ np.linalg.solve(sensor, gain)
     projector = resolution_matrix(gain)
-    return is_reflexive_ginverse(projector @ truth.values @ projector, ginverse, tol)
+    return is_reflexive_ginverse(projector @ truth.values @ projector, ginverse)
 
 
 def dominant_component(factor) -> tuple[np.ndarray, float]:

@@ -43,15 +43,13 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
+from .matcore import RANK_TOL
 
 #: Scalp sphere radius is 1; sources must stay strictly inside this radius.
 CORTEX_RADIUS = 0.85
 
 #: Lattice spacing that yields roughly 800 voxels inside ``CORTEX_RADIUS``.
 DEFAULT_GRID_SPACING = 0.145
-
-#: Rank-loss threshold on the singular values of a gain matrix.
-RANK_TOL = 1e-10
 
 #: Dense resolution matrices are refused above this voxel count.
 MAX_DENSE_VOXELS = 2000
@@ -112,8 +110,8 @@ class VoxelGrid:
             raise DimensionError("voxel grid is empty")
         if not np.all(np.isfinite(positions)):
             raise ValidationError("voxel positions contain non-finite values")
-        if self.spacing <= 0:
-            raise ValidationError(f"spacing must be positive, got {self.spacing}")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValidationError(f"spacing must be finite and > 0, got {self.spacing}")
         if np.unique(positions, axis=0).shape[0] != positions.shape[0]:
             raise ValidationError("voxel grid contains duplicate positions")
         positions.setflags(write=False)
@@ -194,10 +192,9 @@ def spherical_grid(
     radius: float = CORTEX_RADIUS,
 ) -> VoxelGrid:
     """Cubic lattice of source positions strictly inside ``radius``."""
-    if spacing <= 0:
-        raise ValidationError(f"spacing must be positive, got {spacing}")
-    if radius <= 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
+    for name, value in (("spacing", spacing), ("radius", radius)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and > 0, got {value}")
     reach = int(np.floor(radius / spacing))
     axis = np.arange(-reach, reach + 1, dtype=np.float64) * spacing
     xs, ys, zs = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -539,13 +536,21 @@ def _parser(kind):
     return _finite if kind is float else kind
 
 
+def utf8_lines(handle):
+    """The lines of a text file opened as UTF-8; other bytes are a FormatError."""
+    try:
+        yield from handle
+    except UnicodeDecodeError:
+        raise FormatError(f"{handle.name}: not UTF-8 text") from None
+
+
 def write_table(path, header, rows) -> None:
     """Write a header (a columns dict writes its names) and ``rows`` as CSV.
 
     Feed numpy data through ``.tolist()``: Python floats are written with
     ``repr``, numpy scalars would not be.
     """
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -557,11 +562,11 @@ def read_table(path, columns: dict, rest=None) -> tuple[list[str], list[list]]:
     ``columns`` maps each name to the type its fields convert by; ``float``
     fields must be finite. With ``rest`` set, one or more further columns
     of any name follow, converted by ``rest``. Returns the stripped header
-    and the converted rows, in file order.
+    and the converted rows, in file order. The file must be UTF-8 text.
     """
     names = list(columns)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(utf8_lines(handle))
         header = [name.strip() for name in next(reader, [])]
         extra = len(header) - len(names)
         if header[: len(names)] != names or (extra > 0) != (rest is not None):
@@ -597,11 +602,11 @@ def write_manifest(path, entries: dict) -> None:
     write_table(path, ("key", "value"), entries.items())
 
 
-def read_manifest(path, required: tuple[str, ...] | dict) -> dict:
+def read_manifest(path, required: dict) -> dict:
     """Read a ``key,value`` table; a duplicate or missing key is a FormatError.
 
-    ``required`` names the keys that must be present. When it is a dict, it
-    maps each to the type its value converts by, as a table column would.
+    ``required`` maps each key that must be present to the type its value
+    converts by, as a table column would; other keys stay strings.
     """
     entries: dict = {}
     for key, value in read_table(path, {"key": str.strip, "value": str})[1]:
@@ -611,12 +616,11 @@ def read_manifest(path, required: tuple[str, ...] | dict) -> dict:
     missing = [key for key in required if key not in entries]
     if missing:
         raise FormatError(f"{path}: missing keys {missing}")
-    if isinstance(required, dict):
-        for key, kind in required.items():
-            try:
-                entries[key] = _parser(kind)(entries[key])
-            except ValueError as exc:
-                raise FormatError(f"{path}: {key}: {exc}") from None
+    for key, kind in required.items():
+        try:
+            entries[key] = _parser(kind)(entries[key])
+        except ValueError as exc:
+            raise FormatError(f"{path}: {key}: {exc}") from None
     return entries
 
 

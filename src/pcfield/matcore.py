@@ -23,8 +23,13 @@ from .errors import (
     ValidationError,
 )
 
-#: Relative eigenvalue threshold below which rank is considered lost.
-DEFAULT_RANK_TOL = 1e-10
+#: Rank-loss threshold: an eigenvalue (or a gain singular value) at or
+#: below ``RANK_TOL`` times the largest magnitude counts as zero.
+RANK_TOL = 1e-10
+
+#: Relative Frobenius residual up to which ``A G A = A`` and ``G A G = G``
+#: count as holding, so ``G`` is a verified reflexive generalized inverse.
+REFLEXIVE_TOL = 1e-8
 
 #: Conjugate-symmetry tolerance accepted at construction, relative to the
 #: largest entry: ``max|S - S*| <= HERMITIAN_RTOL * max|S|``.
@@ -122,7 +127,7 @@ class EigenDecomposition:
         return self.eigenvectors[:, positive] * self.eigenvalues[positive] ** power
 
 
-def hermitian_eig(matrix, tol: float = DEFAULT_RANK_TOL) -> EigenDecomposition:
+def hermitian_eig(matrix, tol: float = RANK_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix with rank detection.
 
     Eigenvalues are returned in nonincreasing order; any eigenvalue with
@@ -150,18 +155,16 @@ def hermitian_eig(matrix, tol: float = DEFAULT_RANK_TOL) -> EigenDecomposition:
     return EigenDecomposition(eigenvectors=eigvecs, eigenvalues=eigvals, rank=rank)
 
 
-def psd_eig(
-    matrix, tol: float = DEFAULT_RANK_TOL, context: str = "matrix"
-) -> EigenDecomposition:
+def psd_eig(matrix, context: str) -> EigenDecomposition:
     """:func:`hermitian_eig` of a matrix required to be positive semidefinite.
 
     Raises
     ------
     NotPositiveSemidefiniteError
-        If an eigenvalue is below ``-tol * max|eigenvalue|``; smaller
+        If an eigenvalue is below ``-RANK_TOL * max|eigenvalue|``; smaller
         magnitudes were already set to exactly zero.
     """
-    decomposition = hermitian_eig(matrix, tol)
+    decomposition = hermitian_eig(matrix)
     smallest = float(decomposition.eigenvalues[-1])
     if smallest < 0.0:
         raise NotPositiveSemidefiniteError(
@@ -171,30 +174,30 @@ def psd_eig(
     return decomposition
 
 
-def _psd_power(matrix, power: float, tol: float, context: str) -> HermitianMatrix:
+def _psd_power(matrix, power: float, context: str) -> HermitianMatrix:
     """``Gamma+ Lambda+^power Gamma+*``: zero eigenvalues contribute zero."""
-    decomposition = psd_eig(matrix, tol, context)
+    decomposition = psd_eig(matrix, context)
     result = decomposition.range_factor(power) @ decomposition.range_factor(0.0).conj().T
     return HermitianMatrix(result, atol=math.inf)
 
 
-def inv_sqrt_hermitian(matrix, tol: float = DEFAULT_RANK_TOL) -> HermitianMatrix:
+def inv_sqrt_hermitian(matrix) -> HermitianMatrix:
     """Hermitian pseudo-inverse square root of a PSD matrix.
 
     Returns ``U = vectors @ diag(values^(-1/2)) @ vectors*`` over the
-    eigenvalues above the rank tolerance; eigenvalues reported as zero
+    eigenvalues above ``RANK_TOL``; eigenvalues reported as zero
     contribute zero, so ``U @ S @ U`` projects onto the column space of
     ``S`` rather than the identity when ``S`` is singular.
 
     Raises
     ------
     NotPositiveSemidefiniteError
-        If an eigenvalue is below ``-tol * max|eigenvalue|``.
+        If an eigenvalue is below ``-RANK_TOL * max|eigenvalue|``.
     """
-    return _psd_power(matrix, -0.5, tol, "inv_sqrt_hermitian")
+    return _psd_power(matrix, -0.5, "inv_sqrt_hermitian")
 
 
-def moore_penrose(matrix, tol: float = DEFAULT_RANK_TOL) -> HermitianMatrix:
+def moore_penrose(matrix) -> HermitianMatrix:
     """Moore-Penrose inverse of a Hermitian PSD matrix.
 
     The result satisfies all four Moore-Penrose conditions: ``S G S = S``,
@@ -203,9 +206,9 @@ def moore_penrose(matrix, tol: float = DEFAULT_RANK_TOL) -> HermitianMatrix:
     Raises
     ------
     NotPositiveSemidefiniteError
-        If an eigenvalue is below ``-tol * max|eigenvalue|``.
+        If an eigenvalue is below ``-RANK_TOL * max|eigenvalue|``.
     """
-    return _psd_power(matrix, -1.0, tol, "moore_penrose")
+    return _psd_power(matrix, -1.0, "moore_penrose")
 
 
 @dataclass(frozen=True)
@@ -214,13 +217,19 @@ class ReflexiveCheck:
 
     ``ginverse_residual`` is ``|A G A - A|_F / |A|_F`` (the generalized
     inverse identity) and ``reflexive_residual`` is ``|G A G - G|_F / |G|_F``
-    (the reflexivity identity). ``is_reflexive`` is true iff both pass the
-    requested tolerance.
+    (the reflexivity identity). ``is_reflexive`` is true iff both are at
+    most ``REFLEXIVE_TOL``.
     """
 
-    is_reflexive: bool
     ginverse_residual: float
     reflexive_residual: float
+
+    @property
+    def is_reflexive(self) -> bool:
+        return (
+            self.ginverse_residual <= REFLEXIVE_TOL
+            and self.reflexive_residual <= REFLEXIVE_TOL
+        )
 
     def __bool__(self) -> bool:
         return self.is_reflexive
@@ -234,13 +243,13 @@ def _relative_residual(deviation: np.ndarray, reference: np.ndarray) -> float:
     return deviation_norm / reference_norm
 
 
-def is_reflexive_ginverse(candidate_a, candidate_g, tol: float = 1e-8) -> ReflexiveCheck:
+def is_reflexive_ginverse(candidate_a, candidate_g) -> ReflexiveCheck:
     """Test whether ``G`` is a reflexive generalized inverse of ``A``.
 
-    Both ``A G A = A`` and ``G A G = G`` must hold to the relative Frobenius
-    tolerance; the two residuals are reported so a caller can see which
-    identity failed. Note the first identity alone admits many non-reflexive
-    inverses, so both are required.
+    Both ``A G A = A`` and ``G A G = G`` must hold to ``REFLEXIVE_TOL`` in
+    the relative Frobenius norm; the two residuals are reported so a caller
+    can see which identity failed. Note the first identity alone admits many
+    non-reflexive inverses, so both are required.
     """
     a = np.asarray(candidate_a, dtype=np.complex128)
     g = np.asarray(candidate_g, dtype=np.complex128)
@@ -250,19 +259,12 @@ def is_reflexive_ginverse(candidate_a, candidate_g, tol: float = 1e-8) -> Reflex
         raise DimensionError(
             f"non-conformable shapes {a.shape} and {g.shape}"
         )
-    aga = a @ g @ a
-    gag = g @ a @ g
-    ginverse_residual = _relative_residual(aga - a, a)
-    reflexive_residual = _relative_residual(gag - g, g)
-    passed = ginverse_residual <= tol and reflexive_residual <= tol
     return ReflexiveCheck(
-        is_reflexive=passed,
-        ginverse_residual=ginverse_residual,
-        reflexive_residual=reflexive_residual,
+        _relative_residual(a @ g @ a - a, a), _relative_residual(g @ a @ g - g, g)
     )
 
 
-def direct_partial_coherence(matrix, tol: float = DEFAULT_RANK_TOL) -> HermitianMatrix:
+def direct_partial_coherence(matrix) -> HermitianMatrix:
     """Partial coherence of a strictly positive definite covariance.
 
     Inverts the covariance with a dense LU solve and rescales the inverse by
@@ -277,16 +279,17 @@ def direct_partial_coherence(matrix, tol: float = DEFAULT_RANK_TOL) -> Hermitian
     Raises
     ------
     SingularMatrixError
-        If the smallest eigenvalue is at or below ``tol`` times the largest;
-        rank-deficient covariances must go through the field estimator.
+        If the smallest eigenvalue is at or below ``RANK_TOL`` times the
+        largest; rank-deficient covariances must go through the field
+        estimator.
     """
     hermitian = as_hermitian(matrix)
     eigvals = np.linalg.eigvalsh(hermitian.values)
     largest = float(eigvals[-1])
     smallest = float(eigvals[0])
-    if smallest <= tol * max(abs(largest), abs(smallest)):
+    if smallest <= RANK_TOL * max(abs(largest), abs(smallest)):
         raise SingularMatrixError(
-            f"covariance is singular at rank tolerance {tol:.1e} "
+            f"covariance is singular at rank tolerance {RANK_TOL:.1e} "
             f"(eigenvalue range [{smallest:.3e}, {largest:.3e}]); "
             "use the low-rank field estimator instead"
         )

@@ -30,8 +30,15 @@ from .confield import (
     seeded_map,
     write_map_csv,
 )
-from .errors import FormatError, ValidationError
-from .forward import LeadField, electrode_seed_voxels, min_norm_inverse, write_table
+from .errors import DimensionError, FormatError, ValidationError
+from .forward import (
+    LeadField,
+    electrode_seed_voxels,
+    min_norm_inverse,
+    utf8_lines,
+    voxel_under_electrode,
+    write_table,
+)
 from .spectra import EpochedRecording, band_cross_spectrum
 
 #: Analysis band of the reference experiment, Hz.
@@ -138,8 +145,6 @@ def _resolve_source_voxels(cfg: SimulationConfig, leadfield: LeadField) -> tuple
             raise ValidationError(
                 f"montage lacks electrode {needed!r}; set source_voxels explicitly"
             )
-    from .forward import voxel_under_electrode
-
     pair = (
         voxel_under_electrode(leadfield, "Fp1"),
         voxel_under_electrode(leadfield, "O2"),
@@ -205,12 +210,20 @@ def peak_localization_error(
     Takes the top-2 entries of ``values`` (ties broken by voxel order),
     measures each source position's Euclidean distance to the nearest of
     the two peak ``positions``, and returns the larger in units of
-    ``spacing``. 0 means every source was hit exactly. A non-finite input
-    or a spacing that is not positive is a ValidationError, since a NaN
-    distance would otherwise score as a perfect hit.
+    ``spacing``. 0 means every source was hit exactly. Inputs that are not
+    nonempty ``values`` (n,), ``positions`` (n, 3) and ``sources`` (k, 3)
+    are a DimensionError. A non-finite input or a spacing that is not
+    positive is a ValidationError, since a NaN distance would otherwise
+    score as a perfect hit.
     """
-    inputs = {"values": values, "positions": positions, "sources": sources}
-    for name, array in inputs.items():
+    values, positions, sources = map(np.asarray, (values, positions, sources))
+    for name, array, shape in (
+        ("values", values, (values.size,)),
+        ("positions", positions, (values.size, 3)),
+        ("sources", sources, (sources.size // 3, 3)),
+    ):
+        if array.size == 0 or array.shape != shape:
+            raise DimensionError(f"{name} must be nonempty {shape}, got {array.shape}")
         if not np.all(np.isfinite(array)):
             raise ValidationError(f"{name} contain non-finite entries")
     if not (math.isfinite(spacing) and spacing > 0):
@@ -338,8 +351,8 @@ def parse_config(path) -> SimulationConfig:
     """
     path = Path(path)
     values: dict[str, object] = {}
-    with open(path) as handle:
-        for number, raw in enumerate(handle, start=1):
+    with open(path, encoding="utf-8") as handle:
+        for number, raw in enumerate(utf8_lines(handle), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, ValidationError
 from .forward import read_table, write_table
-from .matcore import EigenDecomposition, HermitianMatrix, psd_eig
+from .matcore import EigenDecomposition, HermitianMatrix, as_hermitian, psd_eig
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ class CrossSpectrum:
     decomposition: EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.matrix, HermitianMatrix):
-            object.__setattr__(self, "matrix", HermitianMatrix(self.matrix))
+        object.__setattr__(self, "matrix", as_hermitian(self.matrix))
         if self.n_epochs < 1:
             raise ValidationError("n_epochs must be at least 1")
         object.__setattr__(
@@ -188,17 +187,14 @@ def band_bins(
 
 
 def band_cross_spectrum(
-    rec: EpochedRecording,
-    f_lo: float,
-    f_hi: float,
-    include_edges: bool = False,
+    rec: EpochedRecording, f_lo: float, f_hi: float
 ) -> CrossSpectrum:
     """Arithmetic mean of the per-bin cross-spectra across a frequency band.
 
     The mean of PSD matrices is PSD, so the result passes the same
     eigenvalue check as a single-bin estimate.
     """
-    bins = band_bins(rec.n_samples, rec.rate, f_lo, f_hi, include_edges)
+    bins = band_bins(rec.n_samples, rec.rate, f_lo, f_hi)
     per_bin = _epoch_bin_matrices(rec, np.asarray(bins))
     matrix = np.mean(per_bin, axis=0)
     frequencies = np.asarray(bins, dtype=np.float64) * rec.bin_width

@@ -109,6 +109,12 @@ class TestLeadfieldCommand:
     def test_missing_out_is_usage_error(self):
         assert run_cli("leadfield", "--builtin-1020", "--grid", 0.2) == 64
 
+    def test_nan_grid_is_validation_error(self, tmp_path, capsys):
+        lf = tmp_path / "lf.pcf"
+        assert run_cli("leadfield", "--builtin-1020", "--grid", "nan", "--out", lf) == 2
+        assert "spacing" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_electrode_source_is_exclusive(self, tmp_path):
         code = run_cli(
             "leadfield", "--builtin-1020", "--electrodes", "x.csv",
@@ -257,6 +263,17 @@ class TestConnectCommand:
         )
         seed_files = [p.name for p in out.iterdir() if p.name.startswith("seed_")]
         assert seed_files == ["seed_5.csv"]
+
+    def test_out_of_range_seed_writes_nothing(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "maps"
+        code = run_cli(
+            "connect", "--leadfield", pipeline["lf"], "--xspec", pipeline["xspec"],
+            "--method", "partial", "--measure", "lagged",
+            "--seeds", "5,99999", "--out", out,
+        )
+        assert code == 2
+        assert "99999" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_channel_count_mismatch(self, pipeline, tmp_path, capsys):
         epochs = tmp_path / "two.csv"

@@ -95,6 +95,16 @@ class TestClassicalField:
         with pytest.raises(ValidationError):
             ClassicalField(A=np.eye(2), diag=np.array([2.0, 1.0]))
 
+    def test_diag_check_is_relative_to_the_largest_variance(self):
+        # the true variances are 1e-12, so diag 0 would report a live voxel
+        # as dead
+        with pytest.raises(ValidationError):
+            ClassicalField(A=1e-6 * np.eye(2), diag=np.array([5e-11, 0.0]))
+        rng = np.random.default_rng(31)
+        field = classical_field(rng.standard_normal((5, 3)), random_pd(rng, 3))
+        scaled = ClassicalField(A=1e6 * field.A, diag=1e12 * field.diag)
+        assert scaled.dead_voxels.size == 0
+
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             classical_field(np.eye(3), BIVARIATE)

@@ -129,6 +129,15 @@ class TestGrid:
         with pytest.raises(ValidationError):
             VoxelGrid(positions=np.array([[0.0, 0.0, 0.0]]), spacing=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_spacing_rejected(self, value):
+        with pytest.raises(ValidationError, match="spacing"):
+            VoxelGrid(positions=np.array([[0.0, 0.0, 0.0]]), spacing=value)
+        with pytest.raises(ValidationError, match="spacing"):
+            spherical_grid(value)
+        with pytest.raises(ValidationError, match="radius"):
+            spherical_grid(0.2, radius=value)
+
     def test_min_nn_distance_needs_two_points(self):
         with pytest.raises(ValidationError):
             min_nn_distance(np.array([[0.0, 0.0, 0.0]]))
@@ -504,4 +513,14 @@ class TestTableReaders:
         read(path)  # the valid table reads
         path.write_text(corrupt_table(text, defect))
         with pytest.raises(FormatError, match="table.csv"):
+            read(path)
+
+    @pytest.mark.parametrize("table", sorted(TABLE_READERS))
+    def test_non_utf8_table_is_format_error(self, tmp_path, table):
+        # one more defect, written as bytes: a 0xff byte in the first row
+        text, read = TABLE_READERS[table]
+        path = tmp_path / "table.csv"
+        header, first, *rest = text.encode().splitlines()
+        path.write_bytes(b"\n".join([header, first + b"\xff", *rest]) + b"\n")
+        with pytest.raises(FormatError, match="table.csv: not UTF-8"):
             read(path)

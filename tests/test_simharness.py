@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pcfield import (
+    DimensionError,
     FormatError,
     GroundTruth,
     SeededMap,
@@ -205,6 +206,24 @@ class TestLocalizationError:
         with pytest.raises(ValidationError):
             peak_localization_error(**inputs)
 
+    @pytest.mark.parametrize(
+        "defect", ["short_values", "flat_positions", "no_sources", "planar_sources"]
+    )
+    def test_mismatched_shapes_rejected(self, line_grid, defect):
+        values = np.array([0.9, 0.1, 0.1, 0.8, 0.1, 0.1])
+        positions = line_grid.positions
+        sources = positions[[0, 3]]
+        if defect == "short_values":
+            values = values[:3]
+        elif defect == "flat_positions":
+            positions = positions.ravel()
+        elif defect == "no_sources":
+            sources = sources[:0]
+        else:
+            sources = sources[:, :2]
+        with pytest.raises(DimensionError):
+            peak_localization_error(values, positions, sources, line_grid.spacing)
+
     def test_grid_size_mismatch(self, truth):
         grid = VoxelGrid(positions=np.zeros((2, 3)) + np.arange(2)[:, None], spacing=1.0)
         composite = SeededMap(
@@ -255,6 +274,12 @@ class TestConfigFiles:
         path = tmp_path / "pair.txt"
         path.write_text("source_voxels = 5\n")
         with pytest.raises(FormatError, match="two ids"):
+            parse_config(path)
+
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"n_epochs = 5\n# caf\xe9\n")
+        with pytest.raises(FormatError, match=r"latin\.txt: not UTF-8"):
             parse_config(path)
 
 
