@@ -6,20 +6,7 @@ field is a function of the lead field and the sensor cross-spectrum alone,
 held as a low-rank factor so the voxel dimension never appears squared.
 A classical coherence route through explicit linear inverses is included
 for comparison, along with a two-source simulation harness and a CLI.
-
-Set ``PCFIELD_THREADS`` to pin the BLAS thread count before the first
-import of this package; it seeds the standard ``*_NUM_THREADS`` variables
-unless they are already set.
 """
-
-import os as _os
-
-# Must run before numpy loads its BLAS backend, hence before any submodule
-# import below.
-_threads = _os.environ.get("PCFIELD_THREADS", "")
-if _threads.isdigit() and int(_threads) > 0:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
 
 __version__ = "0.1.0"
 

@@ -15,6 +15,7 @@ matrix-vector product per seed.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -176,9 +177,7 @@ class SeededMap:
                 f"[{values.min():.6g}, {values.max():.6g}]"
             )
         if self.seed is not None:
-            seed = int(self.seed)
-            if not (0 <= seed < values.size):
-                raise ValidationError(f"seed {seed} out of range for {values.size} voxels")
+            seed = _voxel_index(self.seed, values.size, "seed")
             if self.measure.endswith("_coh") and abs(values[seed] - 1.0) > MAGNITUDE_TOL:
                 raise ValidationError("seed self-coherence must be 1")
             object.__setattr__(self, "seed", seed)
@@ -193,6 +192,17 @@ class SeededMap:
 
 # ---------------------------------------------------------------------------
 # shared coercions
+
+
+def _voxel_index(value, n_voxels: int, name: str = "voxel") -> int:
+    """``value`` as an integer voxel index below ``n_voxels``, or a ValidationError."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= index < n_voxels:
+        raise ValidationError(f"{name} {index} out of range for {n_voxels} voxels")
+    return index
 
 
 def _spectrum_eig(spectrum, n_channels: int) -> EigenDecomposition:
@@ -233,7 +243,8 @@ def classical_field(inverse, spectrum) -> ClassicalField:
     """Source covariance factor ``A = T Gamma+ Lambda+^(1/2)`` for inverse T.
 
     The implied covariance is ``S_J = T S T' = A A*``; it is never formed.
-    Entry (k, l) is recoverable as ``row_k(A) . conj(row_l(A))``.
+    Entry (k, l) is recoverable as ``row_k(A) . conj(row_l(A))``. ``T``
+    must be finite.
     """
     matrix = _inverse_matrix(inverse)
     factor = matrix @ _spectrum_eig(spectrum, matrix.shape[1]).range_factor(0.5)
@@ -242,10 +253,8 @@ def classical_field(inverse, spectrum) -> ClassicalField:
 
 
 def classical_coherence(field: ClassicalField, k: int, l: int) -> complex:
-    """Complex coherence ``S_kl / sqrt(S_kk S_ll)`` of two voxels."""
-    n = field.n_voxels
-    if not (0 <= k < n and 0 <= l < n):
-        raise ValidationError(f"voxel pair ({k}, {l}) out of range for {n} voxels")
+    """Complex coherence ``S_kl / sqrt(S_kk S_ll)`` of two voxels (integer ids)."""
+    k, l = (_voxel_index(voxel, field.n_voxels) for voxel in (k, l))
     for voxel in (k, l):
         if field.diag[voxel] == 0.0:
             raise ValidationError(
@@ -274,7 +283,7 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
     root ``U``: the two factors differ by the rotation ``Gamma+*``.
 
     No explicit inverse operator participates: the result is a function of
-    the gain matrix and the cross-spectrum only.
+    the gain matrix and the cross-spectrum only. A NaN gain is refused.
     """
     gain = _full_rank_gain(leadfield)
     whitener, rank = _whitener(spectrum, gain.shape[0])
@@ -304,11 +313,10 @@ def pairwise_partial(leadfield, spectrum, k: int, l: int) -> complex:
     Evaluates ``g_k' S+ g_l / sqrt((g_k' S+ g_k)(g_l' S+ g_l))`` where
     ``S+`` is the (pseudo-)inverse of the sensor cross-spectrum. No other
     voxel enters, so the value is independent of the rest of the grid.
+    ``k`` and ``l`` must be integer voxel ids.
     """
     gain = _full_rank_gain(leadfield)
-    n = gain.shape[1]
-    if not (0 <= k < n and 0 <= l < n):
-        raise ValidationError(f"voxel pair ({k}, {l}) out of range for {n} voxels")
+    k, l = (_voxel_index(voxel, gain.shape[1]) for voxel in (k, l))
     if k == l:
         return 1.0 + 0.0j
     whitener, _ = _whitener(spectrum, gain.shape[0])
@@ -331,13 +339,15 @@ def lagged_measure(r):
     Accepts a scalar or an array. Purely real coherence gives 0 (no lag);
     where ``Re(r)^2`` reaches 1 the denominator collapses and the value is
     reported as 0 with a RuntimeWarning, since instantaneous coupling
-    saturates the measure. Results are clipped to [0, 1].
+    saturates the measure. Results are clipped to [0, 1]. A magnitude that
+    is not finite or exceeds 1 is a ValidationError.
     """
     array = np.asarray(r, dtype=np.complex128)
     magnitude = np.abs(array)
-    if np.any(magnitude > 1.0 + MAGNITUDE_TOL):
+    if not np.all(magnitude <= 1.0 + MAGNITUDE_TOL):
         raise ValidationError(
-            f"coherence magnitude {float(np.max(magnitude)):.6g} exceeds 1"
+            "coherence magnitudes must be finite and at most 1 "
+            f"(largest {float(np.max(magnitude)):.6g})"
         )
     real_sq = array.real**2
     degenerate = real_sq >= 1.0 - DEGENERATE_TOL
@@ -378,7 +388,8 @@ def seeded_map(source, seed: int, measure: str) -> SeededMap:
 
     Computes a single row of the implied field, never the full matrix.
     Coherence tags report magnitudes (seed entry exactly 1), lagged tags
-    apply :func:`lagged_measure` (seed entry exactly 0, no self-lag).
+    apply :func:`lagged_measure` (seed entry exactly 0, no self-lag). A
+    seed that is not an integer voxel index is a ValidationError.
     """
     if measure not in MEASURES:
         raise ValidationError(
@@ -390,9 +401,7 @@ def seeded_map(source, seed: int, measure: str) -> SeededMap:
             f"measure {measure!r} requires a {expected.__name__}, got "
             f"{type(source).__name__}"
         )
-    n = source.n_voxels
-    if not (0 <= seed < n):
-        raise ValidationError(f"seed {seed} out of range for {n} voxels")
+    seed = _voxel_index(seed, source.n_voxels, "seed")
     row = _seed_row(source, seed)
     if measure.endswith("_coh"):
         values = np.abs(row)
@@ -445,14 +454,10 @@ def reflexive_residuals(leadfield, spectrum, inverse) -> ReflexiveCheck:
     Everything stays in factored form: with ``S_J = B B*`` and ``G = C C*``
     the two defining residuals reduce to small-matrix expressions through
     the thin QR factors of ``B`` and ``C``, so no voxel-by-voxel matrix is
-    formed at any grid size.
+    formed at any grid size. ``K`` and ``T`` must be finite.
     """
     gain = _full_rank_gain(leadfield)
-    matrix = _inverse_matrix(inverse)
-    if matrix.shape != (gain.shape[1], gain.shape[0]):
-        raise DimensionError(
-            f"inverse shape {matrix.shape} does not match gain {gain.shape}"
-        )
+    matrix = _inverse_matrix(inverse, gain)
     decomposition = _spectrum_eig(spectrum, gain.shape[0])
     covariance_factor = matrix @ decomposition.range_factor(0.5)  # S_J = B B*
     ginverse_factor = gain.T @ decomposition.range_factor(-0.5)  # G = C C*
@@ -478,7 +483,8 @@ def resolution_check(leadfield, source_covariance) -> ReflexiveCheck:
     ``G = K' (K S_J K')^(-1) K`` must be a reflexive g-inverse of the
     filtered covariance ``M = H S_J H`` seen through the resolution
     projector ``H``. Both covariances must have full rank under
-    ``RANK_TOL``. Dense diagnostic, restricted to small grids.
+    ``RANK_TOL``, and ``K`` must be finite. Dense diagnostic, restricted to
+    small grids.
     """
     gain = _full_rank_gain(leadfield)
     n_voxels = gain.shape[1]

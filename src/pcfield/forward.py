@@ -228,8 +228,8 @@ def min_nn_distance(positions: np.ndarray) -> float:
 class LeadField:
     """Gain matrix (electrodes x voxels) with its geometry attached.
 
-    Construction verifies full row rank numerically: the smallest singular
-    value must exceed ``RANK_TOL`` times the largest.
+    Construction applies the rule every lead-field argument meets: 2-d,
+    finite, and full row rank (smallest singular value > ``RANK_TOL`` x largest).
     """
 
     gain: np.ndarray
@@ -237,17 +237,12 @@ class LeadField:
     voxels: VoxelGrid
 
     def __post_init__(self):
-        gain = np.asarray(self.gain, dtype=np.float64)
-        if gain.ndim != 2:
-            raise DimensionError("gain must be a 2-d matrix")
+        gain = _full_rank_gain(self.gain)
         if gain.shape != (len(self.electrodes), len(self.voxels)):
             raise DimensionError(
                 f"gain shape {gain.shape} does not match geometry "
                 f"({len(self.electrodes)} electrodes, {len(self.voxels)} voxels)"
             )
-        if not np.all(np.isfinite(gain)):
-            raise ValidationError("gain matrix contains non-finite entries")
-        _full_rank_gain(gain)
         gain.setflags(write=False)
         object.__setattr__(self, "gain", gain)
 
@@ -310,46 +305,27 @@ def electrode_seed_voxels(leadfield: LeadField) -> list[int]:
 
 @dataclass(frozen=True)
 class InverseOperator:
-    """Linear inverse ``T`` (voxels x electrodes) with ``K T = I`` verified."""
+    """Linear inverse ``T`` (voxels x electrodes), 2-d and finite."""
 
     matrix: np.ndarray
     kind: str
     weights: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise DimensionError("inverse operator must be a 2-d matrix")
+        matrix = _inverse_matrix(self.matrix)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
 
-def _as_gain(leadfield) -> np.ndarray:
+def _full_rank_gain(leadfield) -> np.ndarray:
+    """The gain of a LeadField, or an array checked as LeadField checks it."""
     if isinstance(leadfield, LeadField):
         return leadfield.gain
     gain = np.asarray(leadfield, dtype=np.float64)
-    if gain.ndim != 2:
-        raise DimensionError("gain must be a 2-d matrix")
-    return gain
-
-
-def _inverse_matrix(inverse) -> np.ndarray:
-    if isinstance(inverse, InverseOperator):
-        return inverse.matrix
-    matrix = np.asarray(inverse, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise DimensionError("inverse operator must be a 2-d matrix")
-    return matrix
-
-
-def _full_rank_gain(leadfield) -> np.ndarray:
-    """Gain matrix with the full-row-rank precondition enforced.
-
-    A LeadField passed the check at construction and is not checked again.
-    """
-    gain = _as_gain(leadfield)
-    if isinstance(leadfield, LeadField):
-        return gain
+    if gain.ndim != 2 or gain.size == 0:
+        raise DimensionError("gain must be a nonempty 2-d matrix")
+    if not np.all(np.isfinite(gain)):
+        raise ValidationError("gain matrix contains non-finite entries")
     singular_values = np.linalg.svd(gain, compute_uv=False)
     if singular_values[-1] <= RANK_TOL * singular_values[0]:
         raise SingularMatrixError(
@@ -361,6 +337,23 @@ def _full_rank_gain(leadfield) -> np.ndarray:
     return gain
 
 
+def _inverse_matrix(inverse, gain: np.ndarray | None = None) -> np.ndarray:
+    """``T`` of an InverseOperator or a finite 2-d array, shaped to ``gain`` if given."""
+    if isinstance(inverse, InverseOperator):
+        matrix = inverse.matrix
+    else:
+        matrix = np.asarray(inverse, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise DimensionError("inverse operator must be a 2-d matrix")
+        if not np.all(np.isfinite(matrix)):
+            raise ValidationError("inverse operator contains non-finite entries")
+    if gain is not None and matrix.shape != gain.T.shape:
+        raise DimensionError(
+            f"inverse shape {matrix.shape} does not match gain {gain.shape}"
+        )
+    return matrix
+
+
 def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
     """``T = (K W)' (K W K')^(-1)`` for ``weighted_gain = K W``; checks ``K T = I``."""
     try:
@@ -369,7 +362,7 @@ def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(f"K W K' is numerically singular: {exc}") from exc
     matrix = solved.T
     identity_defect = np.linalg.norm(gain @ matrix - np.eye(gain.shape[0]))
-    if identity_defect > 1e-8:
+    if not identity_defect <= 1e-8:
         raise SingularMatrixError(
             f"right inverse failed the K T = I check (defect "
             f"{identity_defect:.3e}); gain matrix is too ill-conditioned"
@@ -379,13 +372,13 @@ def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
 
 def min_norm_inverse(leadfield) -> InverseOperator:
     """Minimum-norm inverse ``T = K' (K K')^(-1)``."""
-    gain = _as_gain(leadfield)
+    gain = _full_rank_gain(leadfield)
     return InverseOperator(matrix=_right_inverse(gain, gain), kind="minimum_norm")
 
 
 def weighted_inverse(leadfield, weights) -> InverseOperator:
     """Weighted inverse ``T = W K' (K W K')^(-1)`` for positive diagonal W."""
-    gain = _as_gain(leadfield)
+    gain = _full_rank_gain(leadfield)
     weight_vector = np.asarray(weights, dtype=np.float64).reshape(-1)
     if weight_vector.shape[0] != gain.shape[1]:
         raise DimensionError(
@@ -398,8 +391,8 @@ def weighted_inverse(leadfield, weights) -> InverseOperator:
 
 
 def forward_project(leadfield, sources) -> np.ndarray:
-    """Project source amplitudes to the sensors: ``K @ sources``."""
-    gain = _as_gain(leadfield)
+    """Project source amplitudes to the sensors: ``K @ sources``, K full row rank."""
+    gain = _full_rank_gain(leadfield)
     source_array = np.asarray(sources)
     if source_array.shape[0] != gain.shape[1]:
         raise DimensionError(
@@ -418,7 +411,7 @@ def resolution_matrix(leadfield) -> np.ndarray:
     too. Refused above ``MAX_DENSE_VOXELS`` voxels; use
     :func:`resolution_operator` there.
     """
-    gain = _as_gain(leadfield)
+    gain = _full_rank_gain(leadfield)
     if gain.shape[1] > MAX_DENSE_VOXELS:
         raise DimensionError(
             f"{gain.shape[1]} voxels would materialize a "
@@ -434,7 +427,7 @@ def resolution_operator(leadfield):
     ``T`` is the minimum-norm inverse, verified as :func:`min_norm_inverse`
     verifies it, so the operator is idempotent to rounding or not built.
     """
-    gain = _as_gain(leadfield)
+    gain = _full_rank_gain(leadfield)
     matrix = _right_inverse(gain, gain)
 
     def apply(vector: np.ndarray) -> np.ndarray:
@@ -452,14 +445,10 @@ def mp_symmetry_defect(leadfield, inverse) -> float:
     With ``X = [T, K']`` and ``Y = [K', -T]`` the asymmetry is ``X Y'``,
     so its norm is ``|R_X R_Y'|_F`` from the thin QR factors of ``X`` and
     ``Y``: no voxel-by-voxel matrix is formed, and the result keeps full
-    precision near zero at every grid size.
+    precision near zero at every grid size. ``K`` must have full row rank.
     """
-    gain = _as_gain(leadfield)
-    matrix = _inverse_matrix(inverse)
-    if matrix.shape != (gain.shape[1], gain.shape[0]):
-        raise DimensionError(
-            f"inverse shape {matrix.shape} does not match gain {gain.shape}"
-        )
+    gain = _full_rank_gain(leadfield)
+    matrix = _inverse_matrix(inverse, gain)
     r_x = np.linalg.qr(np.hstack([matrix, gain.T]), mode="r")
     r_y = np.linalg.qr(np.hstack([gain.T, -matrix]), mode="r")
     return float(np.linalg.norm(r_x @ r_y.T))

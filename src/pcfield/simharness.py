@@ -17,6 +17,7 @@ bio-noise locations before bio-noise amplitudes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,6 +63,12 @@ class SimulationConfig:
     source_voxels: tuple[int, int] | None = None
 
     def __post_init__(self):
+        for name in ("n_epochs", "n_samples", "bio_noise_count", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
         if self.n_epochs < 1:
             raise ValidationError(f"n_epochs must be at least 1, got {self.n_epochs}")
         if self.n_samples < 2:

@@ -19,6 +19,13 @@ def random_pd(rng: np.random.Generator, n: int, complex_entries: bool = True) ->
     return (factor @ factor.conj().T) / cols
 
 
+def random_gain(rng: np.random.Generator, n_electrodes: int, n_voxels: int) -> np.ndarray:
+    """Random gain matrix of full row rank, its leading square block shifted."""
+    gain = rng.standard_normal((n_electrodes, n_voxels))
+    gain[:, :n_electrodes] += 3.0 * np.eye(n_electrodes)
+    return gain
+
+
 def random_psd(
     rng: np.random.Generator, n: int, rank: int, complex_entries: bool = True
 ) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Forward model: montage, grid, lead field, inverses, resolution, PCF1 IO."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pcfield import (
     FormatError,
     InverseOperator,
     LeadField,
+    PcfieldError,
     SingularMatrixError,
     ValidationError,
     VoxelGrid,
@@ -20,6 +23,7 @@ from pcfield import (
     min_nn_distance,
     min_norm_inverse,
     mp_symmetry_defect,
+    parse_config,
     read_electrodes_csv,
     read_epochs_csv,
     read_map_csv,
@@ -38,6 +42,7 @@ from pcfield import (
 )
 from pcfield.cli import _read_truth_sources
 from pcfield.forward import read_manifest
+from pcfield.simharness import peak_localization_error
 
 LEFT = ("Fp1", "F7", "F3", "T3", "C3", "T5", "P3", "O1")
 RIGHT = ("Fp2", "F8", "F4", "T4", "C4", "T6", "P4", "O2")
@@ -524,3 +529,106 @@ class TestTableReaders:
         path.write_bytes(b"\n".join([header, first + b"\xff", *rest]) + b"\n")
         with pytest.raises(FormatError, match="table.csv: not UTF-8"):
             read(path)
+
+
+# Tables with several rows, for the row-order rules. Per transform, a reader
+# either rejects the input or returns exactly what it returns for the
+# original; the electrode table is the one whose row order is data (the
+# channel order). The truth table is checked through the score it feeds.
+ROW_ORDER_READERS = {
+    "electrodes": (
+        "label,x,y,z\nCz,0.0,0.0,1.0\nFz,0.0,1.0,0.0\nT3,1.0,0.0,0.0\n",
+        read_electrodes_csv,
+        {"duplicated": "reject"},
+    ),
+    "voxels": (
+        "id,x,y,z\n0,0.0,0.0,0.0\n1,0.5,0.0,0.0\n2,0.0,0.5,0.0\n",
+        read_voxels_csv,
+        {"reversed": "same", "duplicated": "reject"},
+    ),
+    "map": (
+        "voxel_id,x,y,z,value\n0,0.0,0.0,0.0,0.5\n1,0.5,0.0,0.0,1.0\n"
+        "2,0.0,0.5,0.0,0.25\n",
+        read_map_csv,
+        {"reversed": "same", "duplicated": "reject"},
+    ),
+    "truth": (
+        "role,voxel_id,x,y,z\nsource,0,0.0,0.0,0.0\nbio,1,0.5,0.0,0.0\n"
+        "source,2,0.0,0.5,0.0\n",
+        lambda path: truth_score(_read_truth_sources(path)),
+        {"reversed": "same", "duplicated": "same"},
+    ),
+    "epochs": (
+        "epoch,t,Fp1,O2\n1,1,0.5,0.25\n1,2,0.125,0.0\n2,1,0.0,1.0\n2,2,1.0,0.5\n",
+        lambda path: read_epochs_csv(path, rate=64.0),
+        {"reversed": "reject", "duplicated": "reject"},
+    ),
+    "manifest": (
+        "key,value\nband_lo,8.0\nn_epochs,100\nnote,free text\n",
+        lambda path: read_manifest(path, {"band_lo": float, "n_epochs": int}),
+        {"reversed": "same", "duplicated": "reject"},
+    ),
+    "config": (
+        "n_epochs = 10\nseed = 3\nsource_voxels = 1,2\nrate = 32.0\n",
+        parse_config,
+        {"reversed": "same", "duplicated": "reject"},
+    ),
+}
+
+
+def truth_score(sources):
+    """The localization error that ``compare`` gives a fixed map against ``sources``."""
+    positions = np.array([[0, 0, 0], [0.5, 0, 0], [0, 0.5, 0], [0.5, 0.5, 0]])
+    return peak_localization_error([1.0, 0.25, 0.125, 0.5], positions, sources, 0.5)
+
+
+def reorder_rows(text, transform, header):
+    lines = text.splitlines()
+    head, rows = (lines[:1], lines[1:]) if header else ([], lines)
+    rows = rows[::-1] if transform == "reversed" else rows + rows
+    return "\n".join(head + rows) + "\n"
+
+
+def canonical(value):
+    """A comparable form of a reader's result: arrays by bytes, dicts unordered."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if dataclasses.is_dataclass(value):
+        return canonical([getattr(value, f.name) for f in dataclasses.fields(value)])
+    if isinstance(value, dict):
+        return sorted((key, canonical(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(canonical(item) for item in value)
+    return value
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize(
+        "table, transform",
+        [
+            (table, transform)
+            for table, (_, _, expected) in sorted(ROW_ORDER_READERS.items())
+            for transform in expected
+        ],
+    )
+    def test_reader_rejects_or_ignores_row_order(self, tmp_path, table, transform):
+        text, read, expected = ROW_ORDER_READERS[table]
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        original = read(path)
+        path.write_text(reorder_rows(text, transform, header=table != "config"))
+        if expected[transform] == "reject":
+            with pytest.raises(PcfieldError):
+                read(path)
+        else:
+            assert canonical(read(path)) == canonical(original)
+
+    def test_electrode_rows_are_the_channel_order(self, tmp_path):
+        text, read, _ = ROW_ORDER_READERS["electrodes"]
+        path = tmp_path / "electrodes.csv"
+        path.write_text(text)
+        original = read(path)
+        path.write_text(reorder_rows(text, "reversed", header=True))
+        flipped = read(path)
+        assert flipped.labels == original.labels[::-1]
+        assert np.array_equal(flipped.positions, original.positions[::-1])

@@ -1,0 +1,195 @@
+"""One rule per operand: gain and inverse arrays, voxel ids, counts, coherences."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_gain, random_pd
+from pcfield import (
+    DimensionError,
+    InverseOperator,
+    SeededMap,
+    SimulationConfig,
+    SingularMatrixError,
+    ValidationError,
+    classical_coherence,
+    classical_field,
+    forward_project,
+    lagged_measure,
+    min_norm_inverse,
+    mp_symmetry_defect,
+    pairwise_partial,
+    partial_field,
+    reflexive_residuals,
+    resolution_check,
+    resolution_matrix,
+    resolution_operator,
+    seeded_map,
+    weighted_inverse,
+)
+from pcfield.forward import _right_inverse
+from pcfield.matcore import REFLEXIVE_TOL
+
+NAN_GAIN = np.array([[math.nan, 1.0, 2.0], [0.5, 1.0, 0.2]])
+
+
+def good_inverse():
+    return min_norm_inverse(random_gain(np.random.default_rng(1), 2, 3))
+
+
+# Every function that takes a lead field, called with a gain array.
+GAIN_TAKERS = {
+    "min_norm_inverse": min_norm_inverse,
+    "weighted_inverse": lambda gain: weighted_inverse(gain, np.ones(3)),
+    "forward_project": lambda gain: forward_project(gain, np.ones(3)),
+    "resolution_matrix": resolution_matrix,
+    "resolution_operator": resolution_operator,
+    "mp_symmetry_defect": lambda gain: mp_symmetry_defect(gain, good_inverse()),
+    "partial_field": lambda gain: partial_field(gain, np.eye(2)),
+    "pairwise_partial": lambda gain: pairwise_partial(gain, np.eye(2), 0, 1),
+    "reflexive_residuals": lambda gain: reflexive_residuals(
+        gain, np.eye(2), good_inverse()
+    ),
+    "resolution_check": lambda gain: resolution_check(gain, np.eye(3)),
+}
+
+# Every function that takes an inverse, called with an inverse array.
+INVERSE_TAKERS = {
+    "InverseOperator": lambda matrix: InverseOperator(matrix=matrix, kind="weighted"),
+    "classical_field": lambda matrix: classical_field(matrix, np.eye(2)),
+    "reflexive_residuals": lambda matrix: reflexive_residuals(
+        random_gain(np.random.default_rng(1), 2, 3), np.eye(2), matrix
+    ),
+    "mp_symmetry_defect": lambda matrix: mp_symmetry_defect(
+        random_gain(np.random.default_rng(1), 2, 3), matrix
+    ),
+}
+
+
+class TestGainRule:
+    @pytest.mark.parametrize("name", sorted(GAIN_TAKERS))
+    def test_nan_gain_is_validation_error(self, name):
+        with pytest.raises(ValidationError, match="non-finite"):
+            GAIN_TAKERS[name](NAN_GAIN)
+
+    @pytest.mark.parametrize("name", sorted(GAIN_TAKERS))
+    def test_rank_deficient_gain_is_refused(self, name):
+        gain = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+        with pytest.raises(SingularMatrixError, match="full row rank"):
+            GAIN_TAKERS[name](gain)
+
+    @pytest.mark.parametrize("name", sorted(GAIN_TAKERS))
+    def test_one_dimensional_gain_is_dimension_error(self, name):
+        with pytest.raises(DimensionError, match="2-d"):
+            GAIN_TAKERS[name](np.ones(3))
+
+    def test_empty_gain_is_dimension_error(self):
+        with pytest.raises(DimensionError, match="nonempty"):
+            forward_project(np.zeros((0, 3)), np.ones(3))
+
+    def test_k_t_check_refuses_nan(self):
+        # NaN compares false with every bound, so the check must be written
+        # as "not within" for a NaN defect to fail it.
+        with pytest.raises(SingularMatrixError, match="K T = I"):
+            _right_inverse(NAN_GAIN, NAN_GAIN)
+
+
+class TestInverseRule:
+    @pytest.mark.parametrize("name", sorted(INVERSE_TAKERS))
+    def test_nan_inverse_is_validation_error(self, name):
+        matrix = good_inverse().matrix.copy()
+        matrix[1, 0] = math.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            INVERSE_TAKERS[name](matrix)
+
+    @pytest.mark.parametrize("name", sorted(INVERSE_TAKERS))
+    def test_one_dimensional_inverse_is_dimension_error(self, name):
+        with pytest.raises(DimensionError, match="2-d"):
+            INVERSE_TAKERS[name](np.ones(3))
+
+
+class TestVoxelIds:
+    @pytest.fixture(scope="class")
+    def sources(self):
+        rng = np.random.default_rng(3)
+        gain = random_gain(rng, 3, 6)
+        spectrum = random_pd(rng, 3)
+        return gain, spectrum, partial_field(gain, spectrum), classical_field(
+            min_norm_inverse(gain), spectrum
+        )
+
+    @pytest.mark.parametrize("voxel", [2.0, 1.5, "2", 6, -1])
+    @pytest.mark.parametrize(
+        "call",
+        ["seeded_map", "pairwise_partial", "classical_coherence", "SeededMap"],
+    )
+    def test_bad_voxel_id_is_validation_error(self, sources, call, voxel):
+        gain, spectrum, factor, field = sources
+        calls = {
+            "seeded_map": lambda: seeded_map(factor, voxel, "partial_coh"),
+            "pairwise_partial": lambda: pairwise_partial(gain, spectrum, voxel, 0),
+            "classical_coherence": lambda: classical_coherence(field, 0, voxel),
+            "SeededMap": lambda: SeededMap(
+                seed=voxel, values=np.ones(6), measure="partial_coh"
+            ),
+        }
+        with pytest.raises(ValidationError, match="integer|out of range"):
+            calls[call]()
+
+    def test_numpy_integer_ids_are_accepted(self, sources):
+        gain, spectrum, factor, field = sources
+        seed = np.int64(2)
+        assert seeded_map(factor, seed, "partial_coh").seed == 2
+        assert type(seeded_map(factor, seed, "partial_coh").seed) is int
+        assert pairwise_partial(gain, spectrum, np.int32(2), 3) == pairwise_partial(
+            gain, spectrum, 2, 3
+        )
+        assert classical_coherence(field, np.uint8(2), 3) == classical_coherence(
+            field, 2, 3
+        )
+
+
+class TestSimulationCounts:
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 10.0, "10"])
+    @pytest.mark.parametrize(
+        "name", ["n_epochs", "n_samples", "bio_noise_count", "seed"]
+    )
+    def test_non_integer_count_is_validation_error(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            SimulationConfig(**{name: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = SimulationConfig(n_epochs=np.int64(12), seed=np.uint64(5))
+        assert (cfg.n_epochs, cfg.seed) == (12, 5)
+        assert type(cfg.n_epochs) is int and type(cfg.seed) is int
+
+
+class TestLaggedMeasureNonFinite:
+    @pytest.mark.parametrize(
+        "value", [complex(math.nan, 0.1), complex(0.1, math.nan), math.inf]
+    )
+    def test_non_finite_scalar_is_validation_error(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            lagged_measure(value)
+
+    def test_non_finite_array_entry_is_validation_error(self):
+        with pytest.raises(ValidationError, match="finite"):
+            lagged_measure(np.array([0.1 + 0.2j, complex(math.nan, 0.0), 0.3j]))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=30, max_size=30),
+)
+@settings(max_examples=40, deadline=None)
+def test_weighted_inverses_are_reflexive(seed, weights):
+    """Inverse independence: every positive weighting gives a reflexive g-inverse."""
+    rng = np.random.default_rng(seed)
+    gain = random_gain(rng, 6, 30)
+    spectrum = random_pd(rng, 6)
+    check = reflexive_residuals(gain, spectrum, weighted_inverse(gain, weights))
+    assert check.ginverse_residual <= REFLEXIVE_TOL
+    assert check.reflexive_residual <= REFLEXIVE_TOL
