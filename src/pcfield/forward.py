@@ -204,19 +204,34 @@ def spherical_grid(
 
 
 def min_nn_distance(positions: np.ndarray) -> float:
-    """Smallest pairwise distance; recovers the spacing of a regular grid."""
+    """Smallest pairwise distance; recovers the spacing of a regular grid.
+
+    ``positions`` must be an ``(n, 3)`` array of finite coordinates with
+    ``n >= 2``. The points are sorted on the coordinate with the largest
+    range, then swept by sort offset ``k = 1, 2, ...``: each pass measures
+    every pair ``k`` apart with ``np.linalg.norm`` of their difference, the
+    same float a brute-force ``(n, n)`` search gives for that pair. The
+    gaps along the sort axis only grow with ``k``, and a pair is at least
+    as far apart as its gap, so the sweep stops at the first offset whose
+    smallest gap is no less than the best distance found. The result is the
+    brute-force minimum exactly, in O(n) memory.
+    """
     points = np.asarray(positions, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise DimensionError(f"positions must be (n, 3), got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValidationError("positions must be finite")
     n = points.shape[0]
     if n < 2:
         raise ValidationError("need at least two positions")
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    points = points[np.argsort(points[:, axis])]
+    coordinate = points[:, axis]
     best = np.inf
-    chunk = 512
-    for start in range(0, n, chunk):
-        block = points[start : start + chunk]
-        distances = np.linalg.norm(block[:, None, :] - points[None, :, :], axis=2)
-        rows = np.arange(block.shape[0])
-        distances[rows, start + rows] = np.inf
-        best = min(best, float(distances.min()))
+    for k in range(1, n):
+        if (coordinate[k:] - coordinate[:-k]).min() >= best:
+            break
+        best = min(best, float(np.linalg.norm(points[k:] - points[:-k], axis=1).min()))
     return best
 
 
@@ -652,7 +667,9 @@ def load_leadfield(path) -> LeadField:
     """Read a PCF1 gain matrix and its geometry sidecars.
 
     The grid spacing is recovered as the minimum nearest-neighbour distance
-    of the voxel positions, which is exact for regular lattices.
+    of the voxel positions, which is exact for regular lattices. The search
+    is :func:`min_nn_distance`'s sort-and-sweep: O(N) memory, and the same
+    float as a brute-force search over all pairs.
     """
     gain = read_pcf1(path)
     if np.iscomplexobj(gain):

@@ -46,6 +46,23 @@ from .spectra import EpochedRecording, band_cross_spectrum
 DEFAULT_BAND = (8.0, 12.0)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` through ``operator.index``, or a ValidationError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _voxel_pair(ids) -> tuple[int, int]:
+    """``ids`` as exactly two integer voxel ids, or a ValidationError."""
+    try:
+        first, second = ids
+    except (TypeError, ValueError):
+        raise ValidationError(f"source_voxels needs two ids, got {ids!r}") from None
+    return (_integer("source_voxels", first), _integer("source_voxels", second))
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Generative parameters; defaults reproduce the reference experiment."""
@@ -64,11 +81,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name in ("n_epochs", "n_samples", "bio_noise_count", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_epochs < 1:
             raise ValidationError(f"n_epochs must be at least 1, got {self.n_epochs}")
         if self.n_samples < 2:
@@ -86,7 +99,7 @@ class SimulationConfig:
         if not (0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in 64 unsigned bits")
         if self.source_voxels is not None:
-            pair = (int(self.source_voxels[0]), int(self.source_voxels[1]))
+            pair = _voxel_pair(self.source_voxels)
             if pair[0] == pair[1] or min(pair) < 0:
                 raise ValidationError(
                     f"source_voxels must be two distinct nonnegative ids, got {pair}"
@@ -103,10 +116,10 @@ class GroundTruth:
     source_series: np.ndarray  # (n_epochs, n_samples, 2)
 
     def __post_init__(self):
-        pair = (int(self.source_voxels[0]), int(self.source_voxels[1]))
+        pair = _voxel_pair(self.source_voxels)
         if pair[0] == pair[1]:
             raise ValidationError("source voxels must be distinct")
-        bio = tuple(int(v) for v in self.bio_voxels)
+        bio = tuple(_integer("bio_voxels", v) for v in self.bio_voxels)
         if set(bio) & set(pair):
             raise ValidationError("bio-noise voxels must exclude the source voxels")
         series = np.asarray(self.source_series, dtype=np.float64)
@@ -203,7 +216,7 @@ def simulate_eeg(cfg: SimulationConfig, leadfield: LeadField):
     )
     truth = GroundTruth(
         source_voxels=sources,
-        bio_voxels=tuple(int(v) for v in bio_voxels),
+        bio_voxels=tuple(bio_voxels),
         source_series=series,
     )
     return recording, truth

@@ -1,6 +1,11 @@
 """Shared helpers and the acceptance-summary terminal hook."""
 
 import numpy as np
+from hypothesis import settings
+
+# CI selects this with --hypothesis-profile=ci, so every run draws the same
+# examples; local runs keep the default random search.
+settings.register_profile("ci", derandomize=True)
 
 # populated by tests/test_acceptance.py; printed after the run
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool, str]] = {}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_gain, random_pd
 from pcfield import (
     DimensionError,
+    GroundTruth,
     InverseOperator,
     SeededMap,
     SimulationConfig,
@@ -29,6 +30,7 @@ from pcfield import (
     resolution_operator,
     seeded_map,
     weighted_inverse,
+    write_config,
 )
 from pcfield.forward import _right_inverse
 from pcfield.matcore import REFLEXIVE_TOL
@@ -165,6 +167,43 @@ class TestSimulationCounts:
         cfg = SimulationConfig(n_epochs=np.int64(12), seed=np.uint64(5))
         assert (cfg.n_epochs, cfg.seed) == (12, 5)
         assert type(cfg.n_epochs) is int and type(cfg.seed) is int
+
+
+class TestSimulationVoxelIds:
+    @pytest.mark.parametrize("pair", [(1.5, 3.9), (1.0, 3), (1, "3"), (1, math.nan)])
+    def test_non_integer_source_voxels_are_validation_error(self, pair):
+        with pytest.raises(ValidationError, match="source_voxels must be an integer"):
+            SimulationConfig(source_voxels=pair)
+        with pytest.raises(ValidationError, match="source_voxels must be an integer"):
+            GroundTruth(source_voxels=pair, bio_voxels=(), source_series=np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("ids", [(1, 2, 3), (1,), 5])
+    def test_source_voxels_need_exactly_two_ids(self, ids):
+        with pytest.raises(ValidationError, match="needs two ids"):
+            SimulationConfig(source_voxels=ids)
+        with pytest.raises(ValidationError, match="needs two ids"):
+            GroundTruth(source_voxels=ids, bio_voxels=(), source_series=np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("bio", [(4.0,), (4, 5.5), ("4",)])
+    def test_non_integer_bio_voxels_are_validation_error(self, bio):
+        with pytest.raises(ValidationError, match="bio_voxels must be an integer"):
+            GroundTruth(source_voxels=(1, 2), bio_voxels=bio, source_series=np.zeros((1, 2, 2)))
+
+    def test_numpy_integer_ids_become_ints(self, tmp_path):
+        cfg = SimulationConfig(source_voxels=(np.int64(3), np.uint16(11)))
+        truth = GroundTruth(
+            source_voxels=np.array([3, 11]),
+            bio_voxels=np.array([4, 5], dtype=np.int32),
+            source_series=np.zeros((1, 2, 2)),
+        )
+        for ids in (cfg.source_voxels, truth.source_voxels, truth.bio_voxels):
+            assert all(type(v) is int for v in ids)
+        assert (cfg.source_voxels, truth.bio_voxels) == ((3, 11), (4, 5))
+        write_config(tmp_path / "numpy.cfg", cfg)
+        write_config(tmp_path / "plain.cfg", SimulationConfig(source_voxels=(3, 11)))
+        text = (tmp_path / "numpy.cfg").read_text()
+        assert text == (tmp_path / "plain.cfg").read_text()
+        assert "source_voxels = 3,11\n" in text
 
 
 class TestLaggedMeasureNonFinite:
