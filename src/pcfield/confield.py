@@ -297,9 +297,9 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
             f"voxel {first} is invisible to all electrodes under this "
             "cross-spectrum (zero factor row)"
         )
-    factor = pulled_back / row_norms[:, None]
+    pulled_back /= row_norms[:, None]
     return ConnectivityFactor(
-        W=factor,
+        W=pulled_back,
         method="partial",
         band=_spectrum_band(spectrum),
         fingerprint=gain_fingerprint(gain),

@@ -194,22 +194,21 @@ def simulate_eeg(cfg: SimulationConfig, leadfield: LeadField):
     bio_voxels = np.sort(
         bio_rng.choice(eligible, size=cfg.bio_noise_count, replace=False)
     )
-    bio_amplitudes = bio_rng.uniform(
-        -cfg.bio_noise,
-        cfg.bio_noise,
-        size=(cfg.n_epochs, cfg.n_samples, cfg.bio_noise_count),
-    )
-
-    sensor = sensor_rng.uniform(
+    # (signal + sensor) + bio, summed in place; each noise array is drawn
+    # just before it is added and dropped after, so no two are alive at
+    # once. The three streams are independent, so no draw changes.
+    data = series @ leadfield.gain[:, list(sources)].T
+    data += sensor_rng.uniform(
         -cfg.sensor_noise,
         cfg.sensor_noise,
         size=(cfg.n_epochs, cfg.n_samples, leadfield.n_electrodes),
     )
-
-    signal = series @ leadfield.gain[:, list(sources)].T
-    data = signal + sensor
     if cfg.bio_noise_count:
-        data = data + bio_amplitudes @ leadfield.gain[:, bio_voxels].T
+        data += bio_rng.uniform(
+            -cfg.bio_noise,
+            cfg.bio_noise,
+            size=(cfg.n_epochs, cfg.n_samples, cfg.bio_noise_count),
+        ) @ leadfield.gain[:, bio_voxels].T
 
     recording = EpochedRecording(
         data=data, rate=cfg.rate, labels=leadfield.electrodes.labels

@@ -6,12 +6,8 @@ The transform convention is the unnormalized forward DFT with kernel
 No tapering, detrending, or epoch overlap: epochs are assumed stationary
 and are combined by a plain average of their spectral outer products.
 
-Estimation is single-threaded numpy work (FFT, elementwise products and
-means; no BLAS call), so a given recording and band yield the same matrix
-bit for bit on every run with the same numpy build: epochs are averaged with ``np.mean`` over the
-epoch axis and band averages reduce the per-bin matrices the same way.
-Across numpy versions the summation order inside ``np.mean`` may change,
-and with it the last bits.
+An estimate is one ``rfft`` and one complex matrix product (a BLAS call):
+the same inputs, numpy/BLAS build and BLAS thread count give the same bits.
 """
 
 from __future__ import annotations
@@ -133,23 +129,26 @@ def dft_epoch(epoch: np.ndarray, bin: int) -> np.ndarray:
     return np.fft.fft(data, axis=0)[bin]
 
 
-def _epoch_bin_matrices(rec: EpochedRecording, bins: np.ndarray) -> np.ndarray:
-    """Per-bin epoch averages of the spectral outer products.
+def _mean_outer_product(rec: EpochedRecording, bins) -> np.ndarray:
+    """Mean of ``x x*`` over epochs and ``bins`` (each at most n_samples / 2).
 
-    Returns (n_bins, n_channels, n_channels). The per-epoch outer product
-    ``x x*`` is exactly Hermitian in floating point, and the epoch mean
-    (pairwise tree, index order) preserves that exactly.
+    One product ``X' conj(X) / rows`` on the stacked ``rfft`` rows ``X``.
     """
-    spectra = np.fft.fft(rec.data, axis=1)[:, bins, :]  # (n_epochs, n_bins, n_ch)
-    outer = spectra[:, :, :, None] * np.conj(spectra[:, :, None, :])
-    return np.mean(outer, axis=0)
+    rows = np.fft.rfft(rec.data, axis=1)[:, bins, :].reshape(-1, rec.n_channels)
+    return rows.T @ rows.conj() / rows.shape[0]
 
 
 def cross_spectrum(rec: EpochedRecording, bin: int) -> CrossSpectrum:
-    """Average over epochs of the DFT outer products at one bin."""
+    """Average over epochs of the DFT outer products at one bin.
+
+    A bin above ``n_samples / 2`` is the conjugate of its mirror bin
+    ``n_samples - bin``, as for any real signal.
+    """
     if not (0 <= bin < rec.n_samples):
         raise ValidationError(f"bin {bin} out of range [0, {rec.n_samples})")
-    matrix = _epoch_bin_matrices(rec, np.array([bin]))[0]
+    folded = min(bin, rec.n_samples - bin)
+    matrix = _mean_outer_product(rec, [folded])
+    matrix = matrix if folded == bin else matrix.conj()
     # trusted construction: symmetrization below is the documented (S+S*)/2
     return CrossSpectrum(
         matrix=HermitianMatrix(matrix, atol=math.inf),
@@ -195,8 +194,7 @@ def band_cross_spectrum(
     eigenvalue check as a single-bin estimate.
     """
     bins = band_bins(rec.n_samples, rec.rate, f_lo, f_hi)
-    per_bin = _epoch_bin_matrices(rec, np.asarray(bins))
-    matrix = np.mean(per_bin, axis=0)
+    matrix = _mean_outer_product(rec, bins)
     frequencies = np.asarray(bins, dtype=np.float64) * rec.bin_width
     return CrossSpectrum(
         matrix=HermitianMatrix(matrix, atol=math.inf),

@@ -122,6 +122,27 @@ class TestSimulateEeg:
         second, _ = simulate_eeg(cfg, default_leadfield)
         assert np.array_equal(first.data, second.data)
 
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    @pytest.mark.parametrize("bio_noise_count", [57, 0])
+    def test_bytes_match_out_of_place_sum(self, default_leadfield, seed, bio_noise_count):
+        # the recording's bytes equal (signal + sensor) + bio summed out of
+        # place from all three draws, each stream drawn in its own order
+        cfg = SimulationConfig(seed=seed, bio_noise_count=bio_noise_count)
+        recording, truth = simulate_eeg(cfg, default_leadfield)
+        source_rng, bio_rng, sensor_rng = rng_streams(seed)
+        series = gen_sources(cfg, source_rng)
+        eligible = np.setdiff1d(np.arange(default_leadfield.n_voxels), truth.source_voxels)
+        bio_voxels = np.sort(bio_rng.choice(eligible, size=bio_noise_count, replace=False))
+        shape = (cfg.n_epochs, cfg.n_samples)
+        gain = default_leadfield.gain
+        bio = bio_rng.uniform(-cfg.bio_noise, cfg.bio_noise, size=(*shape, bio_noise_count))
+        sensor = sensor_rng.uniform(-cfg.sensor_noise, cfg.sensor_noise, size=(*shape, len(gain)))
+        expected = series @ gain[:, list(truth.source_voxels)].T + sensor
+        if bio_noise_count:
+            expected = expected + bio @ gain[:, bio_voxels].T
+        assert tuple(bio_voxels) == truth.bio_voxels
+        assert recording.data.tobytes() == expected.tobytes()
+
     def test_seed_changes_output(self, default_leadfield):
         first, _ = simulate_eeg(SimulationConfig(seed=0), default_leadfield)
         second, _ = simulate_eeg(SimulationConfig(seed=1), default_leadfield)

@@ -1,5 +1,7 @@
 """Spectral estimation: DFT conventions, cross-spectra, bands, epoch CSV."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,20 @@ from pcfield import (
 
 def recording_from(data, rate=64.0, labels=None):
     return EpochedRecording(data=np.asarray(data, dtype=np.float64), rate=rate, labels=labels)
+
+
+def explicit_mean(rec, bins):
+    """Mean of the ``dft_epoch`` outer products over every epoch and bin."""
+    outers = [
+        np.outer(x, np.conj(x))
+        for epoch in rec.data
+        for x in (dft_epoch(epoch, b) for b in bins)
+    ]
+    return np.mean(outers, axis=0)
+
+
+def relative_gap(actual, expected):
+    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
 
 
 def coherence_from(matrix, k=0, l=1):
@@ -156,6 +172,42 @@ class TestCrossSpectrum:
             )
 
 
+class TestAgainstExplicitOuterProducts:
+    """The estimate against the plain mean of ``dft_epoch`` outer products."""
+
+    @pytest.fixture(scope="class")
+    def rec(self):
+        rng = np.random.default_rng(21)
+        return recording_from(rng.standard_normal((9, 64, 5)))
+
+    @pytest.mark.parametrize("bin", [0, 1, 10, 31, 32, 33, 50, 63])
+    def test_single_bin(self, rec, bin):
+        # bins above n/2 = 32 are the conjugates of their mirror bins
+        estimated = cross_spectrum(rec, bin).values
+        assert relative_gap(estimated, explicit_mean(rec, [bin])) <= 1e-12
+
+    @pytest.mark.parametrize("band", [(8.0, 12.0), (1.0, 31.0), (4.0, 4.0)])
+    def test_band(self, rec, band):
+        estimated = band_cross_spectrum(rec, *band).values
+        bins = band_bins(rec.n_samples, rec.rate, *band)
+        assert relative_gap(estimated, explicit_mean(rec, bins)) <= 1e-12
+
+    def test_odd_length_mirror_bin(self):
+        rng = np.random.default_rng(22)
+        rec = recording_from(rng.standard_normal((4, 15, 3)), rate=15.0)
+        for bin in (7, 8, 14):
+            estimated = cross_spectrum(rec, bin).values
+            assert relative_gap(estimated, explicit_mean(rec, [bin])) <= 1e-12
+
+    def test_repeat_estimates_are_bit_identical(self, rec):
+        assert band_cross_spectrum(rec, 1.0, 31.0).values.tobytes() == (
+            band_cross_spectrum(rec, 1.0, 31.0).values.tobytes()
+        )
+        assert cross_spectrum(rec, 40).values.tobytes() == (
+            cross_spectrum(rec, 40).values.tobytes()
+        )
+
+
 class TestBandBins:
     def test_alpha_band_at_reference_rate(self):
         assert list(band_bins(64, 64.0, 8.0, 12.0)) == [8, 9, 10, 11, 12]
@@ -204,6 +256,18 @@ class TestBandCrossSpectrum:
         values = band_cross_spectrum(rec, 8.0, 12.0).values
         eigenvalues = np.linalg.eigvalsh(values)
         assert eigenvalues[0] >= -1e-10 * max(eigenvalues[-1], 0.0)
+
+    def test_memory_stays_far_below_outer_product_tensor(self):
+        # 100 epochs x 20 bins x 64^2 complex outer products would be ~131 MB
+        rng = np.random.default_rng(23)
+        rec = recording_from(rng.standard_normal((100, 128, 64)), rate=128.0)
+        tracemalloc.start()
+        try:
+            band_cross_spectrum(rec, 1.0, 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestEpochsCsv:
