@@ -8,7 +8,9 @@ directories against the ground truth, and ``render`` draws a map as a
 portable pixmap.
 
 Exit codes: 0 success, 2 numerical or validation failure, 64 usage error,
-66 missing input file. All outputs are deterministic for fixed inputs.
+66 missing input file (or a directory given as one). ``connect`` computes
+every map before it writes, so a failed run writes nothing.
+All outputs are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -96,13 +98,6 @@ def _percent(text: str) -> float:
     return value
 
 
-def _require_file(path) -> Path:
-    resolved = Path(path)
-    if not resolved.is_file():
-        raise FileNotFoundError(f"input file not found: {resolved}")
-    return resolved
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="pcfield", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pcfield {__version__}")
@@ -183,11 +178,11 @@ def cmd_leadfield(args) -> int:
     if args.builtin_1020:
         electrodes = builtin_1020_electrodes()
     else:
-        electrodes = read_electrodes_csv(_require_file(args.electrodes))
+        electrodes = read_electrodes_csv(args.electrodes)
     if args.grid is not None:
         grid = spherical_grid(args.grid)
     else:
-        grid = read_voxels_csv(_require_file(args.voxels))
+        grid = read_voxels_csv(args.voxels)
     leadfield = synth_leadfield(electrodes, grid)
     save_leadfield(leadfield, args.out)
     singular_values = np.linalg.svd(leadfield.gain, compute_uv=False)
@@ -218,9 +213,9 @@ def _read_truth_sources(path) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    leadfield = load_leadfield(_require_file(args.leadfield))
+    leadfield = load_leadfield(args.leadfield)
     if args.config is not None:
-        config = parse_config(_require_file(args.config))
+        config = parse_config(args.config)
     else:
         config = SimulationConfig()
     recording, truth = simulate_eeg(config, leadfield)
@@ -239,7 +234,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_xspec(args) -> int:
-    recording = read_epochs_csv(_require_file(args.epochs), rate=args.rate)
+    recording = read_epochs_csv(args.epochs, rate=args.rate)
     lo, hi = args.band
     bins = band_bins(recording.n_samples, recording.rate, lo, hi)
     spectrum = band_cross_spectrum(recording, lo, hi)
@@ -266,7 +261,7 @@ def _read_xspec(path) -> CrossSpectrum:
     """A cross-spectrum written by ``xspec``: PCF1 matrix plus its meta file."""
     matrix = read_pcf1(path)
     entries = read_manifest(
-        _require_file(sidecar(path, "meta")),
+        sidecar(path, "meta"),
         {"band_lo": float, "band_hi": float, "frequency": float, "n_epochs": int},
     )
     return CrossSpectrum(
@@ -291,22 +286,14 @@ def _parse_seeds(text: str, leadfield: LeadField) -> list[int]:
 
 
 def cmd_connect(args) -> int:
-    leadfield = load_leadfield(_require_file(args.leadfield))
-    spectrum = _read_xspec(_require_file(args.xspec))
-    if spectrum.dim != leadfield.n_electrodes:
-        raise ValidationError(
-            f"cross-spectrum is {spectrum.dim} channels, lead field has "
-            f"{leadfield.n_electrodes} electrodes"
-        )
+    leadfield = load_leadfield(args.leadfield)
+    spectrum = _read_xspec(args.xspec)
     seeds = _parse_seeds(args.seeds, leadfield)
     suffix = "coh" if args.measure == "coherence" else "lagged"
     tag = f"{args.method}_{suffix}"
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.method == "partial":
         source = partial_field(leadfield, spectrum)
-        save_factor(out / "factor.pcf", source)
         print(
             f"partial factor: effective rank {source.effective_rank}, no "
             "inverse operator involved"
@@ -315,11 +302,16 @@ def cmd_connect(args) -> int:
         inverse = min_norm_inverse(leadfield)
         source = classical_field(inverse, spectrum)
         print("classical field via the minimum-norm inverse")
-
     maps = [seeded_map(source, seed, tag) for seed in seeds]
+    composite = max_over_seeds(maps)
+
+    # Write only once everything is computed, so a failed run writes nothing.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.method == "partial":
+        save_factor(out / "factor.pcf", source)
     for entry in maps:
         write_map_csv(out / f"seed_{entry.seed}.csv", entry, leadfield.voxels)
-    composite = max_over_seeds(maps)
     write_map_csv(out / "composite.csv", composite, leadfield.voxels)
     write_manifest(
         out / "manifest.csv",
@@ -343,7 +335,7 @@ def _hot_ramp(t: np.ndarray) -> np.ndarray:
 
 
 def cmd_render(args) -> int:
-    positions, values = read_map_csv(_require_file(args.map))
+    positions, values = read_map_csv(args.map)
     peak = float(values.max())
     ceiling = (args.scale_percent / 100.0) * peak
     if ceiling > 0.0:
@@ -379,14 +371,12 @@ def cmd_render(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    truth_positions = _read_truth_sources(_require_file(args.truth))
+    truth_positions = _read_truth_sources(args.truth)
     rows = []
     for directory in args.maps:
         base = Path(directory)
-        manifest = _require_file(base / "manifest.csv")
-        composite = _require_file(base / "composite.csv")
-        entries = read_manifest(manifest, {"method": str, "measure": str})
-        positions, values = read_map_csv(composite)
+        entries = read_manifest(base / "manifest.csv", {"method": str, "measure": str})
+        positions, values = read_map_csv(base / "composite.csv")
         spacing = min_nn_distance(positions) if positions.shape[0] > 1 else 1.0
         error = peak_localization_error(values, positions, truth_positions, spacing)
         rows.append((entries["method"], entries["measure"], error))
@@ -401,10 +391,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"pcfield: {exc}", file=sys.stderr)
         return 66
-    except (PcfieldError, np.linalg.LinAlgError, KeyError) as exc:
+    except (PcfieldError, np.linalg.LinAlgError) as exc:
         print(f"pcfield: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,6 @@ matrix-vector product per seed.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ from .errors import (
 from .forward import (
     VoxelGrid,
     _full_rank_gain,
+    _integer,
     _inverse_matrix,
     gain_fingerprint,
     read_manifest,
@@ -196,10 +196,7 @@ class SeededMap:
 
 def _voxel_index(value, n_voxels: int, name: str = "voxel") -> int:
     """``value`` as an integer voxel index below ``n_voxels``, or a ValidationError."""
-    try:
-        index = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    index = _integer(name, value)
     if not 0 <= index < n_voxels:
         raise ValidationError(f"{name} {index} out of range for {n_voxels} voxels")
     return index

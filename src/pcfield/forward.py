@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -296,8 +297,10 @@ def synth_leadfield(electrodes: ElectrodeArray, voxels: VoxelGrid) -> LeadField:
             f"need at least as many voxels ({len(voxels)}) as electrodes "
             f"({len(electrodes)})"
         )
-    deltas = electrodes.positions[:, None, :] - voxels.positions[None, :, :]
-    distances = np.linalg.norm(deltas, axis=2)
+    # Row by row, so no (electrodes, voxels, 3) difference tensor is formed.
+    distances = np.stack(
+        [np.linalg.norm(voxels.positions - p, axis=1) for p in electrodes.positions]
+    )
     if np.any(distances == 0.0):
         raise ValidationError("a voxel coincides with an electrode")
     return LeadField(gain=1.0 / distances, electrodes=electrodes, voxels=voxels)
@@ -330,6 +333,14 @@ class InverseOperator:
         matrix = _inverse_matrix(self.matrix)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` through ``operator.index``, or a ValidationError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _full_rank_gain(leadfield) -> np.ndarray:

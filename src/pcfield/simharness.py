@@ -17,7 +17,6 @@ bio-noise locations before bio-noise amplitudes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .confield import (
 from .errors import DimensionError, FormatError, ValidationError
 from .forward import (
     LeadField,
+    _integer,
     electrode_seed_voxels,
     min_norm_inverse,
     utf8_lines,
@@ -44,14 +44,6 @@ from .spectra import EpochedRecording, band_cross_spectrum
 
 #: Analysis band of the reference experiment, Hz.
 DEFAULT_BAND = (8.0, 12.0)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` through ``operator.index``, or a ValidationError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _voxel_pair(ids) -> tuple[int, int]:

@@ -17,6 +17,7 @@ from pcfield import (
     spherical_grid,
     voxel_under_electrode,
     write_map_csv,
+    write_pcf1,
 )
 from pcfield.cli import _read_xspec, main
 from pcfield.confield import SeededMap
@@ -298,6 +299,41 @@ class TestConnectCommand:
         assert code == 2
         assert "19" in capsys.readouterr().err
 
+    def test_channel_count_mismatch_writes_nothing(self, pipeline, tmp_path):
+        epochs = tmp_path / "two.csv"
+        epochs.write_text(
+            "epoch,t,ch0,ch1\n"
+            + "".join(f"1,{t},{0.1 * t},{0.2 * t}\n" for t in range(1, 9))
+        )
+        xspec = tmp_path / "two.pcf"
+        assert (
+            run_cli(
+                "xspec", "--epochs", epochs, "--rate", 8.0,
+                "--band", "1:3", "--out", xspec,
+            )
+            == 0
+        )
+        out = tmp_path / "m"
+        code = run_cli(
+            "connect", "--leadfield", pipeline["lf"], "--xspec", xspec,
+            "--method", "partial", "--measure", "lagged", "--out", out,
+        )
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["partial", "classical"])
+    def test_zero_spectrum_writes_nothing(self, pipeline, tmp_path, capsys, method):
+        xspec = tmp_path / "zero.pcf"
+        write_pcf1(xspec, np.zeros((19, 19), dtype=complex))
+        shutil.copy(pipeline["root"] / "alpha.meta.csv", tmp_path / "zero.meta.csv")
+        out = tmp_path / "m"
+        code = run_cli(
+            "connect", "--leadfield", pipeline["lf"], "--xspec", xspec,
+            "--method", method, "--measure", "lagged", "--out", out,
+        )
+        assert code == 2
+        assert "pcfield: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_meta_file_is_missing_input(self, pipeline, tmp_path):
         xspec = tmp_path / "alpha.pcf"
@@ -412,6 +448,28 @@ class TestCompareCommand:
             "--truth", tmp_path / "gone.csv", "--out", tmp_path / "s.csv",
         )
         assert code == 66
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--leadfield", "{dir}", "--out", "{out}"],
+        ["xspec", "--epochs", "{dir}", "--rate", "64", "--band", "8:12", "--out", "{out}"],
+        [
+            "connect", "--leadfield", "{lf}", "--xspec", "{dir}",
+            "--method", "partial", "--measure", "lagged", "--out", "{out}",
+        ],
+        ["render", "--map", "{dir}", "--out", "{out}"],
+        ["compare", "--maps", "{maps}", "--truth", "{dir}", "--out", "{out}"],
+    ],
+    ids=["simulate", "xspec", "connect", "render", "compare"],
+)
+def test_directory_as_input_file_is_missing_input(pipeline, tmp_path, command):
+    fields = {
+        "dir": tmp_path, "out": tmp_path / "out", "lf": pipeline["lf"],
+        "maps": pipeline["maps"]["partial"],
+    }
+    assert run_cli(*(arg.format(**fields) for arg in command)) == 66
 
 
 def with_bad_cell(source, dest, cell):

@@ -172,6 +172,15 @@ class TestSynthLeadField:
         assert leadfield.gain.shape == (19, 925)
         assert np.linalg.matrix_rank(leadfield.gain) == 19
 
+    @pytest.mark.parametrize("spacing", [0.145, 0.1])
+    def test_bytes_match_broadcast_distances(self, montage, spacing):
+        # row-at-a-time distances give the bytes of the full
+        # (electrodes, voxels, 3) broadcast difference tensor's norm
+        grid = spherical_grid(spacing)
+        deltas = montage.positions[:, None, :] - grid.positions[None, :, :]
+        expected = 1.0 / np.linalg.norm(deltas, axis=2)
+        assert synth_leadfield(montage, grid).gain.tobytes() == expected.tobytes()
+
     def test_voxel_on_electrode_rejected(self, montage):
         voxels = VoxelGrid(
             positions=np.vstack([montage.positions[0], np.zeros(3)]), spacing=0.5
