@@ -8,8 +8,10 @@ directories against the ground truth, and ``render`` draws a map as a
 portable pixmap.
 
 Exit codes: 0 success, 2 numerical or validation failure, 64 usage error,
-66 missing input file (or a directory given as one). ``connect`` computes
-every map before it writes, so a failed run writes nothing.
+66 missing input file (or a directory given as one), 73 an output that
+cannot be created (its directory is missing or is a file, or the path is a
+directory). ``connect`` computes every map before it writes, so a failed
+run writes nothing.
 All outputs are deterministic for fixed inputs.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +79,19 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+class _CannotCreate(Exception):
+    """An OSError raised while writing a command's outputs (exit 73)."""
+
+
+@contextmanager
+def _writing_outputs():
+    """Mark where a command writes, so an OSError there is not a missing input."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CannotCreate(exc) from exc
 
 
 def _band(text: str) -> tuple[float, float]:
@@ -184,7 +200,8 @@ def cmd_leadfield(args) -> int:
     else:
         grid = read_voxels_csv(args.voxels)
     leadfield = synth_leadfield(electrodes, grid)
-    save_leadfield(leadfield, args.out)
+    with _writing_outputs():
+        save_leadfield(leadfield, args.out)
     singular_values = np.linalg.svd(leadfield.gain, compute_uv=False)
     print(
         f"lead field {leadfield.n_electrodes} x {leadfield.n_voxels}: full row "
@@ -220,10 +237,11 @@ def cmd_simulate(args) -> int:
         config = SimulationConfig()
     recording, truth = simulate_eeg(config, leadfield)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_epochs_csv(out / "epochs.csv", recording)
-    _write_truth_csv(out / "truth.csv", truth, leadfield.voxels)
-    write_config(out / "config.txt", config)
+    with _writing_outputs():
+        out.mkdir(parents=True, exist_ok=True)
+        write_epochs_csv(out / "epochs.csv", recording)
+        _write_truth_csv(out / "truth.csv", truth, leadfield.voxels)
+        write_config(out / "config.txt", config)
     print(
         f"simulated {recording.n_epochs} epochs x {recording.n_samples} samples "
         f"x {recording.n_channels} channels (sources at voxels "
@@ -238,18 +256,19 @@ def cmd_xspec(args) -> int:
     lo, hi = args.band
     bins = band_bins(recording.n_samples, recording.rate, lo, hi)
     spectrum = band_cross_spectrum(recording, lo, hi)
-    write_pcf1(args.out, spectrum.values)
-    write_manifest(
-        sidecar(args.out, "meta"),
-        {
-            "band_lo": repr(lo),
-            "band_hi": repr(hi),
-            "frequency": repr(spectrum.frequency),
-            "rate": repr(recording.rate),
-            "n_epochs": spectrum.n_epochs,
-            "bins": " ".join(str(b) for b in bins),
-        },
-    )
+    with _writing_outputs():
+        write_pcf1(args.out, spectrum.values)
+        write_manifest(
+            sidecar(args.out, "meta"),
+            {
+                "band_lo": repr(lo),
+                "band_hi": repr(hi),
+                "frequency": repr(spectrum.frequency),
+                "rate": repr(recording.rate),
+                "n_epochs": spectrum.n_epochs,
+                "bins": " ".join(str(b) for b in bins),
+            },
+        )
     print(
         f"averaged {len(bins)} bins ({', '.join(str(b) for b in bins)}) over "
         f"{spectrum.n_epochs} epochs; wrote {args.out}"
@@ -307,21 +326,22 @@ def cmd_connect(args) -> int:
 
     # Write only once everything is computed, so a failed run writes nothing.
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.method == "partial":
-        save_factor(out / "factor.pcf", source)
-    for entry in maps:
-        write_map_csv(out / f"seed_{entry.seed}.csv", entry, leadfield.voxels)
-    write_map_csv(out / "composite.csv", composite, leadfield.voxels)
-    write_manifest(
-        out / "manifest.csv",
-        {
-            "method": args.method,
-            "measure": args.measure,
-            "tag": tag,
-            "seeds": " ".join(str(s) for s in seeds),
-        },
-    )
+    with _writing_outputs():
+        out.mkdir(parents=True, exist_ok=True)
+        if args.method == "partial":
+            save_factor(out / "factor.pcf", source)
+        for entry in maps:
+            write_map_csv(out / f"seed_{entry.seed}.csv", entry, leadfield.voxels)
+        write_map_csv(out / "composite.csv", composite, leadfield.voxels)
+        write_manifest(
+            out / "manifest.csv",
+            {
+                "method": args.method,
+                "measure": args.measure,
+                "tag": tag,
+                "seeds": " ".join(str(s) for s in seeds),
+            },
+        )
     print(f"wrote {len(maps)} seeded maps + composite to {out}")
     return 0
 
@@ -365,7 +385,8 @@ def cmd_render(args) -> int:
         left = _MARGIN + index * (_PANEL + _MARGIN)
         image[top : top + _PANEL, left : left + _PANEL] = colored
     header = f"P6\n{width} {height}\n255\n".encode()
-    Path(args.out).write_bytes(header + image.tobytes())
+    with _writing_outputs():
+        Path(args.out).write_bytes(header + image.tobytes())
     print(f"rendered {args.map} -> {args.out} ({width}x{height})")
     return 0
 
@@ -380,7 +401,8 @@ def cmd_compare(args) -> int:
         spacing = min_nn_distance(positions) if positions.shape[0] > 1 else 1.0
         error = peak_localization_error(values, positions, truth_positions, spacing)
         rows.append((entries["method"], entries["measure"], error))
-    write_table(args.out, ["method", "measure", "localization_error"], rows)
+    with _writing_outputs():
+        write_table(args.out, ["method", "measure", "localization_error"], rows)
     for method, measure, error in rows:
         print(f"{method} {measure}: localization error {error:.3f} grid spacings")
     return 0
@@ -391,6 +413,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _CannotCreate as exc:
+        print(f"pcfield: {exc.__cause__}", file=sys.stderr)
+        return 73
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"pcfield: {exc}", file=sys.stderr)
         return 66

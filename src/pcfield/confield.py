@@ -37,9 +37,9 @@ from .forward import (
     resolution_matrix,
     rows_by_id,
     sidecar,
+    write_lines,
     write_manifest,
     write_pcf1,
-    write_table,
 )
 from .matcore import (
     EigenDecomposition,
@@ -579,8 +579,8 @@ def write_map_csv(path, seeded: SeededMap, voxels: VoxelGrid) -> None:
         raise DimensionError(
             f"map covers {seeded.n_voxels} voxels, grid has {len(voxels)}"
         )
-    rows = enumerate(zip(voxels.positions.tolist(), seeded.values.tolist()))
-    write_table(path, _MAP_COLUMNS, ([i, *xyz, value] for i, (xyz, value) in rows))
+    rows = zip(voxels.row_text, seeded.values.tolist())
+    write_lines(path, _MAP_COLUMNS, [[f"{row},{value!r}" for row, value in rows]])
 
 
 def read_map_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,11 @@ PCF1 matrix container (little-endian throughout)::
 
 Every CSV file of the package goes through the table layer here.
 :func:`write_table` writes floats with ``repr``, so round trips are exact.
+The numeric tables (voxels, maps, epochs) skip its per-field work:
+:func:`write_lines` writes rows pre-formatted with ``repr``, the bytes
+``csv.writer`` would write for them, and a :class:`VoxelGrid` formats its
+``id,x,y,z`` text once for every table it is written into. Tables that
+hold strings, which ``csv`` may quote, stay on :func:`write_table`.
 :func:`read_table` holds the rules all tables share: exact header, exact
 field count, typed fields, finite numbers, at least one row; a breach is a
 FormatError naming the file and line. :func:`rows_by_id` checks voxel ids
@@ -34,6 +39,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +127,12 @@ class VoxelGrid:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
+
+    @cached_property
+    def row_text(self) -> tuple[str, ...]:
+        """Each voxel's ``id,x,y,z`` text for :func:`write_lines`, made on first use."""
+        rows = enumerate(self.positions.tolist())
+        return tuple(f"{i},{x!r},{y!r},{z!r}" for i, (x, y, z) in rows)
 
 
 def _arc_midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -571,6 +583,22 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def write_lines(path, header, chunks) -> None:
+    """Write a header as :func:`write_table` does, then rows already formatted.
+
+    ``chunks`` yields lists of row texts, each chunk written in one call
+    with the line end ``csv.writer`` uses. Only for numeric rows formatted
+    with ``repr``: that is the text ``csv.writer`` writes for ints and
+    floats, and nothing in it needs quoting.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        end = writer.dialect.lineterminator
+        for lines in chunks:
+            handle.write("".join([line + end for line in lines]))
+
+
 def read_table(path, columns: dict, rest=None) -> tuple[list[str], list[list]]:
     """Read a CSV table whose header is exactly the names of ``columns``.
 
@@ -657,8 +685,7 @@ def read_electrodes_csv(path) -> ElectrodeArray:
 
 
 def write_voxels_csv(path, voxels: VoxelGrid) -> None:
-    rows = enumerate(voxels.positions.tolist())
-    write_table(path, _VOXEL_COLUMNS, ([index, *xyz] for index, xyz in rows))
+    write_lines(path, _VOXEL_COLUMNS, [voxels.row_text])
 
 
 def read_voxels_csv(path) -> VoxelGrid:

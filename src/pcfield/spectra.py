@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionError, FormatError, ValidationError
-from .forward import read_table, write_table
+from .forward import read_table, write_lines
 from .matcore import EigenDecomposition, HermitianMatrix, as_hermitian, psd_eig
 
 
@@ -210,12 +210,16 @@ def band_cross_spectrum(
 def write_epochs_csv(path, rec: EpochedRecording) -> None:
     """Write epochs as `epoch,t,<ch...>` rows, 1-based indices, full precision."""
     labels = rec.labels or tuple(f"ch{i + 1}" for i in range(rec.n_channels))
-    rows = (
-        [i + 1, t + 1, *sample]
-        for i, epoch in enumerate(rec.data.tolist())
-        for t, sample in enumerate(epoch)
+    # One epoch's lines at a time: the whole file as text would be several
+    # times the size of the recording.
+    chunks = (
+        [
+            f"{i},{t}," + ",".join(map(repr, sample))
+            for t, sample in enumerate(epoch.tolist(), 1)
+        ]
+        for i, epoch in enumerate(rec.data, 1)
     )
-    write_table(path, ["epoch", "t", *labels], rows)
+    write_lines(path, ["epoch", "t", *labels], chunks)
 
 
 def read_epochs_csv(path, rate: float) -> EpochedRecording:

@@ -1,7 +1,12 @@
 """Shared helpers and the acceptance-summary terminal hook."""
 
+import csv
+import io
+
 import numpy as np
 from hypothesis import settings
+
+from pcfield import VoxelGrid
 
 # CI selects this with --hypothesis-profile=ci, so every run draws the same
 # examples; local runs keep the default random search.
@@ -39,6 +44,27 @@ def random_psd(
     if complex_entries:
         factor = factor + 1j * rng.standard_normal((n, rank))
     return factor @ factor.conj().T
+
+
+#: Floats whose text is easy to get wrong: both zeros, exponent forms, the
+#: smallest subnormal, a large integral value and an inexact sum.
+AWKWARD_FLOATS = (0.0, -0.0, 1e-05, 5e-324, 1e16, 0.1 + 0.2)
+
+
+def awkward_grid() -> VoxelGrid:
+    """A voxel grid whose coordinates are the awkward floats, both signs."""
+    values = AWKWARD_FLOATS + tuple(-v for v in AWKWARD_FLOATS)
+    rows = [values[i : i + 3] for i in range(len(values) - 2)]
+    return VoxelGrid(positions=np.array(rows), spacing=1.0)
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """The UTF-8 bytes ``csv.writer`` writes for ``header`` then ``rows``."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

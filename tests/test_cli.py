@@ -472,6 +472,46 @@ def test_directory_as_input_file_is_missing_input(pipeline, tmp_path, command):
     assert run_cli(*(arg.format(**fields) for arg in command)) == 66
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["leadfield", "--builtin-1020", "--grid", "0.2", "--out", "{dir}"],
+        ["leadfield", "--builtin-1020", "--grid", "0.2", "--out", "{nodir}/lf.pcf"],
+        ["simulate", "--leadfield", "{lf}", "--out", "{file}/sim"],
+        [
+            "xspec", "--epochs", "{epochs}", "--rate", "64", "--band", "8:12",
+            "--out", "{nodir}/alpha.pcf",
+        ],
+        [
+            "connect", "--leadfield", "{lf}", "--xspec", "{xspec}",
+            "--method", "partial", "--measure", "lagged", "--out", "{file}/maps",
+        ],
+        ["render", "--map", "{map}", "--out", "{dir}"],
+        ["compare", "--maps", "{maps}", "--truth", "{truth}", "--out", "{nodir}/s.csv"],
+    ],
+    ids=[
+        "leadfield-directory", "leadfield-missing-parent", "simulate-file-parent",
+        "xspec", "connect", "render", "compare",
+    ],
+)
+def test_output_that_cannot_be_created(pipeline, tmp_path, capsys, command):
+    (tmp_path / "file").write_text("")
+    fields = {
+        "dir": tmp_path, "nodir": tmp_path / "nodir", "file": tmp_path / "file",
+        "lf": pipeline["lf"], "epochs": pipeline["sim"] / "epochs.csv",
+        "xspec": pipeline["xspec"], "map": pipeline["maps"]["partial"] / "composite.csv",
+        "maps": pipeline["maps"]["partial"], "truth": pipeline["sim"] / "truth.csv",
+    }
+    assert run_cli(*(arg.format(**fields) for arg in command)) == 73
+    assert capsys.readouterr().err.startswith("pcfield: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
+
+
+def test_missing_input_inside_out_directory_is_missing_input(tmp_path):
+    code = run_cli("simulate", "--leadfield", tmp_path / "gone.pcf", "--out", tmp_path)
+    assert code == 66
+
+
 def with_bad_cell(source, dest, cell):
     """Copy a CSV table with the last field of its first row set to ``cell``."""
     lines = source.read_text().splitlines()

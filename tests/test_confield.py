@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pd, random_psd
+from conftest import (
+    AWKWARD_FLOATS,
+    awkward_grid,
+    csv_writer_bytes,
+    random_pd,
+    random_psd,
+)
 from pcfield import (
     ClassicalField,
     ConnectivityFactor,
@@ -593,6 +599,33 @@ class TestMapCsv:
         positions, restored = read_map_csv(path)
         assert np.array_equal(positions, grid.positions)
         assert np.array_equal(restored, values)
+
+    @pytest.mark.parametrize(
+        "grid", [awkward_grid(), spherical_grid(0.3)], ids=["awkward", "lattice"]
+    )
+    def test_bytes_match_csv_writer(self, tmp_path, grid):
+        awkward = [v for v in AWKWARD_FLOATS if abs(v) <= 1.0] + [1.0]
+        values = np.resize(awkward, len(grid))
+        values[len(awkward):] = np.random.default_rng(5).random(len(grid) - len(awkward))
+        mapped = SeededMap(seed=3, values=values, measure="partial_lagged")
+        path = tmp_path / "map.csv"
+        write_map_csv(path, mapped, grid)
+        # oracle: the same rows, one list per row, through csv.writer
+        rows = enumerate(zip(grid.positions.tolist(), mapped.values.tolist()))
+        expected = csv_writer_bytes(
+            ["voxel_id", "x", "y", "z", "value"],
+            ([i, *xyz, value] for i, (xyz, value) in rows),
+        )
+        assert path.read_bytes() == expected
+
+    def test_row_text_built_once_on_first_write(self, tmp_path):
+        grid = spherical_grid(0.4)
+        assert "row_text" not in vars(grid)
+        mapped = SeededMap(seed=None, values=np.zeros(len(grid)), measure="partial_lagged")
+        write_map_csv(tmp_path / "a.csv", mapped, grid)
+        first = vars(grid)["row_text"]
+        write_map_csv(tmp_path / "b.csv", mapped, grid)
+        assert vars(grid)["row_text"] is first
 
     def test_grid_size_mismatch(self, tmp_path):
         grid = spherical_grid(0.4)

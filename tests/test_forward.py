@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import awkward_grid, csv_writer_bytes
 from pcfield import (
     DimensionError,
     ElectrodeArray,
@@ -440,6 +441,16 @@ class TestGeometryCsv:
         restored = read_voxels_csv(path)
         assert np.array_equal(restored.positions, grid.positions)
         assert abs(restored.spacing - 0.3) < 1e-12
+
+    @pytest.mark.parametrize(
+        "grid", [awkward_grid(), spherical_grid(0.3)], ids=["awkward", "lattice"]
+    )
+    def test_voxel_bytes_match_csv_writer(self, tmp_path, grid):
+        path = tmp_path / "grid.csv"
+        write_voxels_csv(path, grid)
+        # oracle: the same rows, one list per row, through csv.writer
+        rows = ([index, *xyz] for index, xyz in enumerate(grid.positions.tolist()))
+        assert path.read_bytes() == csv_writer_bytes(["id", "x", "y", "z"], rows)
 
     def test_voxel_ids_must_be_contiguous(self, tmp_path):
         grid = spherical_grid(0.3)

@@ -1,5 +1,6 @@
 """Spectral estimation: DFT conventions, cross-spectra, bands, epoch CSV."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import AWKWARD_FLOATS, csv_writer_bytes
 from pcfield import (
     CrossSpectrum,
     DimensionError,
@@ -281,6 +283,36 @@ class TestEpochsCsv:
         restored = read_epochs_csv(path, rate=16.0)
         assert np.array_equal(restored.data, rec.data)
         assert restored.labels == rec.labels
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        awkward = AWKWARD_FLOATS + tuple(-v for v in AWKWARD_FLOATS)
+        data = np.random.default_rng(17).standard_normal((3, 5, 2))
+        data.reshape(-1)[: len(awkward)] = awkward
+        labels = ('say "hi", all', "O2")
+        rec = recording_from(data, labels=labels)
+        path = tmp_path / "epochs.csv"
+        write_epochs_csv(path, rec)
+        # oracle: the same rows, one list per row, through csv.writer
+        rows = (
+            [i + 1, t + 1, *sample]
+            for i, epoch in enumerate(rec.data.tolist())
+            for t, sample in enumerate(epoch)
+        )
+        written = path.read_bytes()
+        assert written == csv_writer_bytes(["epoch", "t", *labels], rows)
+        assert written.startswith(b'epoch,t,"say ""hi"", all",O2\r\n')
+
+    def test_write_memory_is_one_epoch_not_the_recording(self):
+        # the whole recording as Python floats is ~100 MiB; one epoch's text ~1 MiB
+        rng = np.random.default_rng(18)
+        rec = recording_from(rng.standard_normal((100, 256, 128)))
+        tracemalloc.start()
+        try:
+            write_epochs_csv(os.devnull, rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_malformed_cell_reports_line_number(self, tmp_path):
         rec = recording_from(np.zeros((1, 2, 1)))
