@@ -216,36 +216,118 @@ def spherical_grid(
     return VoxelGrid(positions=points[inside], spacing=spacing)
 
 
+#: The 13 cell offsets that, with a cell's own pairs, visit every pair of
+#: adjacent cells once: those after ``(0, 0, 0)`` in lexicographic order,
+#: as ``(x, y)`` column offset -> z offsets.
+_FORWARD_CELLS = {
+    (0, 0): (1,),
+    (0, 1): (-1, 0, 1),
+    (1, -1): (-1, 0, 1),
+    (1, 0): (-1, 0, 1),
+    (1, 1): (-1, 0, 1),
+}
+
+
 def min_nn_distance(positions: np.ndarray) -> float:
     """Smallest pairwise distance; recovers the spacing of a regular grid.
 
     ``positions`` must be an ``(n, 3)`` array of finite coordinates with
-    ``n >= 2``. The points are sorted on the coordinate with the largest
-    range, then swept by sort offset ``k = 1, 2, ...``: each pass measures
-    every pair ``k`` apart with ``np.linalg.norm`` of their difference, the
-    same float a brute-force ``(n, n)`` search gives for that pair. The
-    gaps along the sort axis only grow with ``k``, and a pair is at least
-    as far apart as its gap, so the sweep stops at the first offset whose
-    smallest gap is no less than the best distance found. The result is the
-    brute-force minimum exactly, in O(n) memory.
+    ``n >= 2``. Every pair is measured as ``np.linalg.norm`` of its
+    difference, the float a brute-force ``(n, n)`` search gives for it, and
+    the result is the brute-force minimum exactly, in O(n) memory and
+    near-linear time (a cell list):
+
+    * The smallest distance ``d`` between neighbours in lexicographic order
+      is a real pair's distance, so an upper bound; ``0.0`` means
+      duplicates, and is returned at once.
+    * Cells are cubes of side ``s = max(d (1 + 2^-20), 2^-500) + e 2^-40``,
+      ``e`` the largest coordinate range, and a point's cell on each axis is
+      ``floor((p - low) / s)``. With ``u = 2^-53``, a pair measured below
+      ``d`` has every coordinate gap below ``d (1 + 3u)``: the norm rounds a
+      sum of nonnegative squares, so it is at least the largest gap to
+      within three roundings, unless a square underflows, which needs a gap
+      below ``2^-500``. Rounding in ``(p - low) / s`` changes a pair's gap
+      by under ``4u e / s`` cells, far less than the ``2^-40 e / s`` that
+      ``s`` holds in reserve, so the pair's cells differ by at most one on
+      every axis.
+    * Each axis's occupied cells are renumbered in order, adjacent cells
+      one apart and wider gaps two apart, so cell keys stay far inside
+      ``int64`` for any finite input. The points are sorted by key, and
+      each cell is searched against itself and its 13 forward neighbours,
+      one member rank at a time over all points.
+
+    A coordinate range beyond the largest float, or an infinite ``d``,
+    leaves one cell holding every point: still exact, but quadratic in
+    time.
     """
     points = np.asarray(positions, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise DimensionError(f"positions must be (n, 3), got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ValidationError("positions must be finite")
-    n = points.shape[0]
-    if n < 2:
+    if points.shape[0] < 2:
         raise ValidationError("need at least two positions")
-    axis = int(np.argmax(np.ptp(points, axis=0)))
-    points = points[np.argsort(points[:, axis])]
-    coordinate = points[:, axis]
-    best = np.inf
-    for k in range(1, n):
-        if (coordinate[k:] - coordinate[:-k]).min() >= best:
-            break
-        best = min(best, float(np.linalg.norm(points[k:] - points[:-k], axis=1).min()))
+    points = points[np.lexsort(points.T[::-1])]
+    best = _closest(points, slice(1, None), slice(None, -1))
+    if best == 0.0:
+        return 0.0
+    cells = _cell_coordinates(points, best)
+    # A cell's key is its (x, y) column, renumbered in order, then its z:
+    # below 2 n^2 + 3 n, where a key of raw x, y, z could reach (2 n)^3.
+    x, y, z = cells.T
+    y_span, z_span = int(y.max()) + 2, int(z.max()) + 2
+    column_values, column_ids = np.unique(x * y_span + y, return_inverse=True)
+    keys = column_ids * z_span + z
+    order = np.argsort(keys, kind="stable")
+    points, keys, x, y, z = points[order], keys[order], x[order], y[order], z[order]
+    cell_keys, starts, counts = np.unique(keys, return_index=True, return_counts=True)
+    for rank in range(1, int(counts.max())):
+        same = np.flatnonzero(keys[rank:] == keys[:-rank])
+        best = min(best, _closest(points, same, same + rank))
+    for (a, b), z_offsets in _FORWARD_CELLS.items():
+        column = _lookup(column_values, (x + a) * y_span + y + b)
+        near = np.flatnonzero(column >= 0)
+        for c in z_offsets:
+            neighbour = _lookup(cell_keys, column[near] * z_span + z[near] + c)
+            found = neighbour >= 0
+            first, neighbour = near[found], neighbour[found]
+            count, start = counts[neighbour], starts[neighbour]
+            for rank in range(int(count.max(initial=0))):
+                pair = count > rank
+                best = min(best, _closest(points, first[pair], start[pair] + rank))
     return best
+
+
+def _closest(points: np.ndarray, first, second) -> float:
+    """Smallest ``np.linalg.norm`` over the pairs ``points[first], points[second]``."""
+    return float(np.linalg.norm(points[second] - points[first], axis=1).min())
+
+
+def _lookup(sorted_values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of each target in ``sorted_values`` (unique), or -1 where absent."""
+    index = np.minimum(np.searchsorted(sorted_values, targets), len(sorted_values) - 1)
+    return np.where(sorted_values[index] == targets, index, -1)
+
+
+def _cell_coordinates(points: np.ndarray, bound: float) -> np.ndarray:
+    """Per-axis cell numbers, >= 1, for pairs closer than ``bound``.
+
+    See :func:`min_nn_distance` for the side and the rounding argument.
+    Occupied cells are renumbered per axis: adjacent ones stay one apart,
+    any wider gap becomes two, so numbers stay below ``2 n``.
+    """
+    low = points.min(axis=0)
+    extent = float(np.max(points.max(axis=0) - low))
+    side = max(bound * (1.0 + 2.0**-20), 2.0**-500) + extent * 2.0**-40
+    if not math.isfinite(side):
+        return np.ones(points.shape, dtype=np.int64)
+    grid = np.floor((points - low) / side)
+    cells = np.empty(points.shape, dtype=np.int64)
+    for axis in range(3):
+        values, inverse = np.unique(grid[:, axis], return_inverse=True)
+        steps = np.where(np.diff(values) == 1.0, 1, 2)
+        cells[:, axis] = np.concatenate(([1], 1 + np.cumsum(steps)))[inverse]
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +475,17 @@ def _inverse_matrix(inverse, gain: np.ndarray | None = None) -> np.ndarray:
 
 
 def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
-    """``T = (K W)' (K W K')^(-1)`` for ``weighted_gain = K W``; checks ``K T = I``."""
+    """``T = (K W)' (K W K')^(-1)`` for ``weighted_gain = K W``; checks ``K T = I``.
+
+    A tall ``K`` (more electrodes than voxels) has no right inverse, and
+    is refused by its shape before any solve.
+    """
+    rows, cols = gain.shape
+    if rows > cols:
+        raise DimensionError(
+            f"gain is {rows} x {cols}: a right inverse needs at least as many "
+            "voxels as electrodes"
+        )
     try:
         solved = np.linalg.solve(weighted_gain @ gain.T, weighted_gain)
     except np.linalg.LinAlgError as exc:
@@ -445,8 +537,8 @@ def resolution_matrix(leadfield) -> np.ndarray:
 
     ``H = K' (K K')^(-1) K`` is the symmetric idempotent projector onto the
     row space of the gain matrix; its trace equals the electrode count. A
-    gain :func:`min_norm_inverse` refuses raises SingularMatrixError here
-    too. Refused above ``MAX_DENSE_VOXELS`` voxels; use
+    gain :func:`min_norm_inverse` refuses is refused here too, with the
+    same error. Refused above ``MAX_DENSE_VOXELS`` voxels; use
     :func:`resolution_operator` there.
     """
     gain = _full_rank_gain(leadfield)
@@ -706,8 +798,8 @@ def load_leadfield(path) -> LeadField:
 
     The grid spacing is recovered as the minimum nearest-neighbour distance
     of the voxel positions, which is exact for regular lattices. The search
-    is :func:`min_nn_distance`'s sort-and-sweep: O(N) memory, and the same
-    float as a brute-force search over all pairs.
+    is :func:`min_nn_distance`'s cell list: O(N) memory, near-linear time,
+    and the same float as a brute-force search over all pairs.
     """
     gain = read_pcf1(path)
     if np.iscomplexobj(gain):

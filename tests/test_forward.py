@@ -274,6 +274,16 @@ class TestInverses:
         with pytest.raises((SingularMatrixError, np.linalg.LinAlgError)):
             min_norm_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    def test_min_norm_refuses_tall_gain_by_shape(self):
+        gain = np.random.default_rng(2).standard_normal((5, 3))
+        with pytest.raises(DimensionError, match="gain is 5 x 3: a right inverse"):
+            min_norm_inverse(gain)
+
+    def test_weighted_refuses_tall_gain_by_shape(self):
+        gain = np.random.default_rng(2).standard_normal((5, 3))
+        with pytest.raises(DimensionError, match="gain is 5 x 3: a right inverse"):
+            weighted_inverse(gain, [1.0, 2.0, 3.0])
+
 
 class TestForwardProject:
     def test_zero_sources(self, small_leadfield):

@@ -1,6 +1,7 @@
-"""Grid spacing search: `min_nn_distance` against a brute-force oracle."""
+"""Grid spacing search: `min_nn_distance` against exact reference searches."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,25 @@ def brute_force_min_distance(positions: np.ndarray) -> float:
         rows = np.arange(block.shape[0])
         distances[rows, start + rows] = np.inf
         best = min(best, float(distances.min()))
+    return best
+
+
+def sort_and_sweep_min_distance(positions: np.ndarray) -> float:
+    """The earlier exact search: the reference for grids too large for brute force.
+
+    Sorted on the coordinate with the largest range, pairs are measured by
+    sort offset k = 1, 2, ... until the smallest gap along that axis at
+    offset k is no less than the best distance found.
+    """
+    points = np.asarray(positions, dtype=np.float64)
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    points = points[np.argsort(points[:, axis])]
+    coordinate = points[:, axis]
+    best = np.inf
+    for k in range(1, points.shape[0]):
+        if (coordinate[k:] - coordinate[:-k]).min() >= best:
+            break
+        best = min(best, float(np.linalg.norm(points[k:] - points[:-k], axis=1).min()))
     return best
 
 
@@ -85,3 +105,76 @@ def test_non_finite_position_is_validation_error(value):
     points[7, 1] = value
     with pytest.raises(ValidationError, match="finite"):
         min_nn_distance(points)
+
+
+def close_pair_beside(far: float) -> np.ndarray:
+    """A pair 1e-6 apart beside points ``far`` away, which widen the cell side."""
+    return np.array(
+        [
+            [0.25, -0.5, 1.0],
+            [0.25 + 1e-6, -0.5, 1.0 - 2e-7],
+            [far, 0.0, 0.0],
+            [-far, far, 3.0],
+            [far, far, -far],
+            [1.0, 2.0, 3.0],
+        ]
+    )
+
+
+def cluster_in_cloud() -> np.ndarray:
+    rng = np.random.default_rng(11)
+    cloud = rng.uniform(-1e3, 1e3, (2000, 3))
+    cluster = np.array([1.5, -7.0, 20.0]) + rng.uniform(0.0, 1e-6, (300, 3))
+    return rng.permutation(np.vstack([cloud, cluster]))
+
+
+def collinear() -> np.ndarray:
+    offsets = np.random.default_rng(12).uniform(-5.0, 5.0, 600)
+    return np.outer(offsets, [1.0, -2.0, 0.5]) + [3.0, 1.0, -4.0]
+
+
+def coplanar() -> np.ndarray:
+    rng = np.random.default_rng(13)
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    plane = np.column_stack([rng.standard_normal((600, 2)), np.full(600, 2.5)])
+    return plane @ rotation.T
+
+
+def with_duplicates() -> np.ndarray:
+    points = spherical_grid(0.2).positions
+    return np.vstack([points, points[[17, 230]]])
+
+
+@pytest.mark.parametrize(
+    "points, expected",
+    [
+        pytest.param(close_pair_beside(1e10), math.hypot(1e-6, 2e-7), id="far-1e10"),
+        pytest.param(close_pair_beside(1e50), math.hypot(1e-6, 2e-7), id="far-1e50"),
+        pytest.param(cluster_in_cloud(), None, id="cluster-in-cloud"),
+        pytest.param(collinear(), None, id="collinear"),
+        pytest.param(coplanar(), None, id="coplanar"),
+        pytest.param(np.array([[1.0, 2.0, 3.0], [1.5, -2.0, 3.25]]), None, id="two-points"),
+        pytest.param(with_duplicates(), 0.0, id="duplicates"),
+    ],
+)
+def test_structured_sets_match_brute_force(points, expected):
+    result = min_nn_distance(points)
+    assert result == brute_force_min_distance(points)
+    if expected is not None:
+        assert abs(result - expected) <= 1e-15
+
+
+@pytest.mark.parametrize("spacing", [0.045, 0.035])
+def test_large_lattices_match_sort_and_sweep(spacing):
+    positions = spherical_grid(spacing).positions
+    assert min_nn_distance(positions) == sort_and_sweep_min_distance(positions)
+
+
+def test_sixty_thousand_voxels_in_well_under_a_second():
+    positions = spherical_grid(0.035).positions
+    assert positions.shape[0] == 60005
+    min_nn_distance(positions)
+    start = time.perf_counter()
+    min_nn_distance(positions)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
