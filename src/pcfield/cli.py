@@ -292,14 +292,13 @@ def _read_xspec(path) -> CrossSpectrum:
 
 
 def _parse_seeds(text: str, leadfield: LeadField) -> list[int]:
+    """Seed ids from ``--seeds``; ``seeded_map`` checks their range."""
     if text == "all-1020":
         return electrode_seed_voxels(leadfield)
     parts = [part.strip() for part in text.split(",") if part.strip()]
-    n = leadfield.n_voxels
-    if not parts or not all(part.isdecimal() and int(part) < n for part in parts):
+    if not parts or not all(part.isdecimal() for part in parts):
         raise ValidationError(
-            f"--seeds must be 'all-1020' or comma-separated voxel ids below {n}, "
-            f"got {text!r}"
+            f"--seeds must be 'all-1020' or comma-separated voxel ids, got {text!r}"
         )
     return [int(part) for part in parts]
 

@@ -378,27 +378,16 @@ def lagged_measure(r):
 # seeded maps
 
 
-def _seed_row(source, seed: int) -> np.ndarray:
-    """Complex coherence of every voxel against the seed, O(N_V * N_E)."""
-    if isinstance(source, ConnectivityFactor):
-        return source.W @ np.conj(source.W[seed])
-    dead = source.dead_voxels
-    if dead.size:
-        raise ValidationError(
-            f"{dead.size} voxel(s) have zero source variance "
-            f"(first: {int(dead[0])}); classical coherence is undefined"
-        )
-    row = source.A @ np.conj(source.A[seed])
-    return row / np.sqrt(source.diag * source.diag[seed])
-
-
 def seeded_map(source, seed: int, measure: str) -> SeededMap:
     """Whole-grid connectivity of one seed voxel under the given measure.
 
-    Computes a single row of the implied field, never the full matrix.
-    Coherence tags report magnitudes (seed entry exactly 1), lagged tags
-    apply :func:`lagged_measure` (seed entry exactly 0, no self-lag). A
-    seed that is not an integer voxel index is a ValidationError.
+    Computes a single row of the implied field, never the full matrix:
+    ``W @ conj(W[seed])`` for a partial factor, or ``A @ conj(A[seed])``
+    over ``sqrt(diag * diag[seed])`` for a classical field. The seed must
+    be an integer voxel index below the voxel count (else a ValidationError
+    names it). Coherence tags report magnitudes (seed entry exactly 1);
+    lagged tags zero the row's seed entry before :func:`lagged_measure`,
+    which maps it to exactly 0 (no self-lag).
     """
     if measure not in MEASURES:
         raise ValidationError(
@@ -411,45 +400,52 @@ def seeded_map(source, seed: int, measure: str) -> SeededMap:
             f"{type(source).__name__}"
         )
     seed = _voxel_index(seed, source.n_voxels, "seed")
-    row = _seed_row(source, seed)
+    if expected is ConnectivityFactor:
+        row = source.W @ np.conj(source.W[seed])
+    else:
+        dead = source.dead_voxels
+        if dead.size:
+            raise ValidationError(
+                f"{dead.size} voxel(s) have zero source variance "
+                f"(first: {int(dead[0])}); classical coherence is undefined"
+            )
+        row = source.A @ np.conj(source.A[seed])
+        row = row / np.sqrt(source.diag * source.diag[seed])
     if measure.endswith("_coh"):
         values = np.abs(row)
         values[seed] = 1.0
     else:
-        row = row.copy()
-        row[seed] = 0.0  # self-coherence is 1; mask before the lagged form
+        row[seed] = 0.0  # self-coherence is 1; no self-lag
         values = lagged_measure(row)
-        values[seed] = 0.0
     return SeededMap(seed=seed, values=values, measure=measure)
 
 
 def max_over_seeds(maps) -> SeededMap:
     """Per-voxel maximum across seeded maps, own-seed entries excluded.
 
-    Each map's seed entry is masked before the maximum so that the trivial
-    self-connection (1 for coherence tags) cannot dominate the composite.
-    A voxel with no contributors at all comes out as 0. The result carries
-    ``seed = None``.
+    A running maximum from zeros: each map raises the composite everywhere
+    but at its own seed, so the trivial self-connection (1 for coherence
+    tags) cannot dominate. Memory is O(voxels) whatever the number of
+    maps. A voxel with no contributors at all comes out as 0. The result
+    carries ``seed = None``.
     """
     maps = list(maps)
     if not maps:
         raise ValidationError("need at least one seeded map")
     measure = maps[0].measure
-    n = maps[0].n_voxels
-    stacked = np.empty((len(maps), n), dtype=np.float64)
-    for index, entry in enumerate(maps):
+    composite = np.zeros(maps[0].n_voxels)
+    for entry in maps:
         if entry.measure != measure:
             raise ValidationError(
                 f"mixed measure tags: {entry.measure!r} vs {measure!r}"
             )
-        if entry.n_voxels != n:
+        if entry.n_voxels != composite.size:
             raise DimensionError("maps cover different grids")
         if entry.seed is None:
             raise ValidationError("composites cannot be composed again")
-        stacked[index] = entry.values
-        stacked[index, entry.seed] = -1.0
-    composite = stacked.max(axis=0)
-    composite[composite < 0.0] = 0.0
+        kept = composite[entry.seed]
+        np.maximum(composite, entry.values, out=composite)
+        composite[entry.seed] = kept
     return SeededMap(seed=None, values=composite, measure=measure)
 
 

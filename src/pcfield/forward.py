@@ -228,6 +228,7 @@ _FORWARD_CELLS = {
 }
 
 
+@np.errstate(over="ignore")
 def min_nn_distance(positions: np.ndarray) -> float:
     """Smallest pairwise distance; recovers the spacing of a regular grid.
 
@@ -258,7 +259,9 @@ def min_nn_distance(positions: np.ndarray) -> float:
 
     A coordinate range beyond the largest float, or an infinite ``d``,
     leaves one cell holding every point: still exact, but quadratic in
-    time.
+    time. Overflow raises no warning: a pair whose gap or squared gap
+    overflows measures ``inf``, as in the brute force, so the result is
+    ``inf`` only if every pair overflows (``VoxelGrid`` refuses it).
     """
     points = np.asarray(positions, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:

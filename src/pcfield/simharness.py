@@ -17,7 +17,7 @@ bio-noise locations before bio-noise amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -341,16 +341,18 @@ def run_experiment(
 # config files
 
 
+def _id_pair(text: str) -> tuple[int, int]:
+    """A config file's ``a,b`` voxel id pair."""
+    parts = [part.strip() for part in text.split(",")]
+    if len(parts) != 2:
+        raise ValueError(f"source_voxels needs two ids, got {text!r}")
+    return (int(parts[0]), int(parts[1]))
+
+
+#: Config-file keys, in field order, each mapped to the parser of its value.
 _CONFIG_FIELDS = {
-    "n_epochs": int,
-    "n_samples": int,
-    "rate": float,
-    "source_amp": float,
-    "bio_noise": float,
-    "bio_noise_count": int,
-    "sensor_noise": float,
-    "ar_coefficient": float,
-    "seed": int,
+    field.name: _id_pair if field.name == "source_voxels" else type(field.default)
+    for field in fields(SimulationConfig)
 }
 
 
@@ -358,7 +360,7 @@ def parse_config(path) -> SimulationConfig:
     """Read a flat key=value config; unknown keys and bad values are errors.
 
     Lines starting with ``#`` and blank lines are skipped; ``source_voxels``
-    takes a comma-separated id pair.
+    takes a comma-separated id pair. A bad line's error names ``path:line``.
     """
     path = Path(path)
     values: dict[str, object] = {}
@@ -367,30 +369,17 @@ def parse_config(path) -> SimulationConfig:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, equals, text = (part.strip() for part in line.partition("="))
+            if not equals:
                 raise FormatError(f"{path}:{number}: expected key=value, got {raw!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
             if key in values:
                 raise FormatError(f"{path}:{number}: duplicate key {key!r}")
-            if key == "source_voxels":
-                parts = [p.strip() for p in text.split(",")]
-                if len(parts) != 2:
-                    raise FormatError(
-                        f"{path}:{number}: source_voxels needs two ids, got {text!r}"
-                    )
-                try:
-                    values[key] = (int(parts[0]), int(parts[1]))
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{number}: {exc}") from exc
-            elif key in _CONFIG_FIELDS:
-                try:
-                    values[key] = _CONFIG_FIELDS[key](text)
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{number}: {exc}") from exc
-            else:
+            if key not in _CONFIG_FIELDS:
                 raise FormatError(f"{path}:{number}: unknown key {key!r}")
+            try:
+                values[key] = _CONFIG_FIELDS[key](text)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{number}: {exc}") from exc
     try:
         return SimulationConfig(**values)
     except ValidationError as exc:
@@ -398,9 +387,14 @@ def parse_config(path) -> SimulationConfig:
 
 
 def write_config(path, cfg: SimulationConfig) -> None:
-    lines = [f"{key} = {getattr(cfg, key)!r}" for key in _CONFIG_FIELDS]
-    if cfg.source_voxels is not None:
-        lines.append(f"source_voxels = {cfg.source_voxels[0]},{cfg.source_voxels[1]}")
+    """Write ``cfg`` as :func:`parse_config` reads it; an unset pair is left out."""
+    lines = []
+    for key in _CONFIG_FIELDS:
+        value = getattr(cfg, key)
+        if isinstance(value, tuple):
+            lines.append(f"{key} = {value[0]},{value[1]}")
+        elif value is not None:
+            lines.append(f"{key} = {value!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

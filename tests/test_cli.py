@@ -276,6 +276,18 @@ class TestConnectCommand:
         assert "99999" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_first_id_out_of_range_writes_nothing(self, pipeline, tmp_path, capsys):
+        n_voxels = load_leadfield(pipeline["lf"]).n_voxels
+        out = tmp_path / "maps"
+        code = run_cli(
+            "connect", "--leadfield", pipeline["lf"], "--xspec", pipeline["xspec"],
+            "--method", "classical", "--measure", "coherence",
+            "--seeds", n_voxels, "--out", out,
+        )
+        assert code == 2
+        assert f"seed {n_voxels} out of range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_channel_count_mismatch(self, pipeline, tmp_path, capsys):
         epochs = tmp_path / "two.csv"
         epochs.write_text(

@@ -403,6 +403,67 @@ class TestMaxOverSeeds:
             max_over_seeds([])
 
 
+def two_step_seed_values(source, seed, measure):
+    """Seed-map values as a row helper plus a masking step computed them."""
+    if isinstance(source, ConnectivityFactor):
+        row = source.W @ np.conj(source.W[seed])
+    else:
+        row = source.A @ np.conj(source.A[seed])
+        row = row / np.sqrt(source.diag * source.diag[seed])
+    if measure.endswith("_coh"):
+        values = np.abs(row)
+        values[seed] = 1.0
+    else:
+        row = row.copy()
+        row[seed] = 0.0
+        values = lagged_measure(row)
+        values[seed] = 0.0
+    return np.clip(values, 0.0, 1.0)
+
+
+def stacked_composite(maps):
+    """The composite as a (maps x voxels) stack with -1 at each own seed."""
+    stacked = np.empty((len(maps), maps[0].n_voxels))
+    for index, entry in enumerate(maps):
+        stacked[index] = entry.values
+        stacked[index, entry.seed] = -1.0
+    composite = stacked.max(axis=0)
+    composite[composite < 0.0] = 0.0
+    return composite
+
+
+class TestSeedMapBits:
+    @pytest.mark.parametrize(
+        "measure", ["partial_coh", "partial_lagged", "classical_coh", "classical_lagged"]
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 13])  # first, middle, last of 14
+    def test_values_match_two_step_formulas(self, instance, measure, seed):
+        source = instance[measure.split("_")[0]]
+        mapped = seeded_map(source, seed, measure)
+        expected = two_step_seed_values(source, seed, measure)
+        assert mapped.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("measure", ["partial_lagged", "classical_coh"])
+    def test_composite_matches_stacked_maximum(self, instance, measure):
+        source = instance[measure.split("_")[0]]
+        every_seed = [seeded_map(source, seed, measure) for seed in range(14)]
+        for maps in (every_seed[:1], every_seed, every_seed[::-3]):
+            composite = max_over_seeds(maps)
+            assert composite.values.tobytes() == stacked_composite(maps).tobytes()
+
+    def test_repeated_seed_reads_zero(self, instance):
+        twice = [seeded_map(instance["partial"], 5, "partial_coh")] * 2
+        composite = max_over_seeds(twice)
+        assert composite.values[5] == 0.0
+        assert composite.values.tobytes() == stacked_composite(twice).tobytes()
+
+    def test_all_zero_map(self):
+        maps = [SeededMap(seed=2, values=np.zeros(4), measure="classical_lagged")]
+        composite = max_over_seeds(maps)
+        assert composite.values.tobytes() == np.zeros(4).tobytes()
+        assert composite.values.tobytes() == stacked_composite(maps).tobytes()
+
+
 class TestSeededMapValidation:
     def test_slight_overshoot_clipped(self):
         mapped = SeededMap(

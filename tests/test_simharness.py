@@ -1,6 +1,7 @@
 """Simulation harness: generator, recording synthesis, scoring, reports."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -265,6 +266,38 @@ class TestConfigFiles:
         cfg = SimulationConfig(sensor_noise=0.125)
         path = tmp_path / "config.txt"
         write_config(path, cfg)
+        assert parse_config(path) == cfg
+
+    def test_every_field_set_round_trips(self, tmp_path):
+        cfg = SimulationConfig(
+            n_epochs=7,
+            n_samples=32,
+            rate=128.5,
+            source_amp=0.25,
+            bio_noise=0.01,
+            bio_noise_count=3,
+            sensor_noise=0.125,
+            ar_coefficient=-0.75,
+            seed=2**63 + 1,
+            source_voxels=(4, 9),
+        )
+        assert all(
+            getattr(cfg, field.name) != field.default for field in fields(SimulationConfig)
+        )
+        path = tmp_path / "config.txt"
+        write_config(path, cfg)
+        assert path.read_text() == (
+            "n_epochs = 7\n"
+            "n_samples = 32\n"
+            "rate = 128.5\n"
+            "source_amp = 0.25\n"
+            "bio_noise = 0.01\n"
+            "bio_noise_count = 3\n"
+            "sensor_noise = 0.125\n"
+            "ar_coefficient = -0.75\n"
+            "seed = 9223372036854775809\n"
+            "source_voxels = 4,9\n"
+        )
         assert parse_config(path) == cfg
 
     def test_comments_and_blanks_ignored(self, tmp_path):

@@ -3,13 +3,20 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcfield import DimensionError, ValidationError, min_nn_distance, spherical_grid
+from pcfield import (
+    DimensionError,
+    ValidationError,
+    VoxelGrid,
+    min_nn_distance,
+    spherical_grid,
+)
 
 
 def brute_force_min_distance(positions: np.ndarray) -> float:
@@ -178,3 +185,45 @@ def test_sixty_thousand_voxels_in_well_under_a_second():
     min_nn_distance(positions)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+@pytest.mark.parametrize(
+    "points, expected",
+    [
+        pytest.param(
+            np.array([[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0], [1e200, 0.0, 0.0]]),
+            1e-3,
+            id="square-overflows",
+        ),
+        pytest.param(
+            np.array(
+                [
+                    [1e308, 0.0, 0.0],
+                    [-1e308, 0.0, 0.0],
+                    [0.0, 0.0, 0.0],
+                    [0.0, 1e-3, 0.0],
+                ]
+            ),
+            1e-3,
+            id="gap-overflows",
+        ),
+        pytest.param(
+            np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]]),
+            math.inf,
+            id="every-pair-overflows",
+        ),
+    ],
+)
+def test_overflowing_pairs_measure_inf_without_a_warning(points, expected):
+    with np.errstate(over="ignore"):
+        oracle = brute_force_min_distance(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = min_nn_distance(points)
+    assert result == oracle == expected
+
+
+def test_infinite_spacing_is_refused_by_the_grid():
+    points = np.array([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]])
+    with pytest.raises(ValidationError, match="spacing"):
+        VoxelGrid(positions=points, spacing=min_nn_distance(points))
