@@ -161,7 +161,7 @@ def build_parser() -> _Parser:
         "--seeds",
         default="all-1020",
         metavar="all-1020|IDS",
-        help="seed voxels: all-1020 (one per electrode) or comma-separated ids",
+        help="seed voxels: all-1020 (one per electrode) or distinct comma-separated ids",
     )
     connect.add_argument("--out", required=True, metavar="DIR")
     connect.set_defaults(func=cmd_connect)
@@ -292,15 +292,17 @@ def _read_xspec(path) -> CrossSpectrum:
 
 
 def _parse_seeds(text: str, leadfield: LeadField) -> list[int]:
-    """Seed ids from ``--seeds``; ``seeded_map`` checks their range."""
+    """Distinct seed ids from ``--seeds``; ``seeded_map`` checks their range."""
     if text == "all-1020":
         return electrode_seed_voxels(leadfield)
-    parts = [part.strip() for part in text.split(",") if part.strip()]
-    if not parts or not all(part.isdecimal() for part in parts):
+    parts = [part.strip() for part in text.split(",")]
+    seeds = [int(part) for part in parts if part.isdecimal()]
+    if len(seeds) != len(parts) or len(set(seeds)) != len(seeds):
         raise ValidationError(
-            f"--seeds must be 'all-1020' or comma-separated voxel ids, got {text!r}"
+            "--seeds must be 'all-1020' or distinct comma-separated voxel ids, "
+            f"got {text!r}"
         )
-    return [int(part) for part in parts]
+    return seeds
 
 
 def cmd_connect(args) -> int:
@@ -397,7 +399,7 @@ def cmd_compare(args) -> int:
         base = Path(directory)
         entries = read_manifest(base / "manifest.csv", {"method": str, "measure": str})
         positions, values = read_map_csv(base / "composite.csv")
-        spacing = min_nn_distance(positions) if positions.shape[0] > 1 else 1.0
+        spacing = min_nn_distance(positions)
         error = peak_localization_error(values, positions, truth_positions, spacing)
         rows.append((entries["method"], entries["measure"], error))
     with _writing_outputs():

@@ -42,7 +42,6 @@ from .forward import (
     write_pcf1,
 )
 from .matcore import (
-    EigenDecomposition,
     ReflexiveCheck,
     _relative_residual,
     as_hermitian,
@@ -202,26 +201,26 @@ def _voxel_index(value, n_voxels: int, name: str = "voxel") -> int:
     return index
 
 
-def _spectrum_eig(spectrum, n_channels: int) -> EigenDecomposition:
-    """The spectrum's PSD eigendecomposition, computed here only for arrays."""
-    if isinstance(spectrum, CrossSpectrum):
-        decomposition = spectrum.decomposition
-    else:
-        decomposition = psd_eig(spectrum, context="cross-spectrum")
-    if decomposition.eigenvectors.shape[0] != n_channels:
+def _as_spectrum(spectrum, n_channels: int) -> CrossSpectrum:
+    """``spectrum`` as a :class:`CrossSpectrum` of ``n_channels`` channels.
+
+    A bare array is wrapped (frequency NaN, one epoch), so it meets the same
+    checks, with the same messages: finite, square, Hermitian and PSD.
+    """
+    if not isinstance(spectrum, CrossSpectrum):
+        spectrum = CrossSpectrum(matrix=spectrum, frequency=math.nan, n_epochs=1)
+    if spectrum.dim != n_channels:
         raise DimensionError(
-            f"spectrum has {decomposition.eigenvectors.shape[0]} channels, "
-            f"expected {n_channels}"
+            f"spectrum has {spectrum.dim} channels, expected {n_channels}"
         )
-    return decomposition
+    return spectrum
 
 
-def _whitener(spectrum, n_channels: int) -> tuple[np.ndarray, int]:
-    """``Gamma+ Lambda+^(-1/2)`` of the spectrum, and its rank."""
-    decomposition = _spectrum_eig(spectrum, n_channels)
-    if decomposition.rank == 0:
+def _whitener(spectrum: CrossSpectrum) -> np.ndarray:
+    """``Gamma+ Lambda+^(-1/2)`` of the spectrum; a zero spectrum is refused."""
+    if spectrum.decomposition.rank == 0:
         raise SingularMatrixError("cross-spectrum has no positive eigenvalues")
-    return decomposition.range_factor(-0.5), decomposition.rank
+    return spectrum.decomposition.range_factor(-0.5)
 
 
 def _real_times_complex(real: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -233,14 +232,6 @@ def _real_times_complex(real: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """
     pairs = np.ascontiguousarray(factor, dtype=np.complex128).view(np.float64)
     return (real @ pairs).view(np.complex128)
-
-
-def _spectrum_band(spectrum) -> tuple[float, float]:
-    if isinstance(spectrum, CrossSpectrum):
-        if spectrum.band is not None:
-            return spectrum.band
-        return (spectrum.frequency, spectrum.frequency)
-    return (math.nan, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +246,8 @@ def classical_field(inverse, spectrum) -> ClassicalField:
     must be finite.
     """
     matrix = _inverse_matrix(inverse)
-    decomposition = _spectrum_eig(spectrum, matrix.shape[1])
-    factor = _real_times_complex(matrix, decomposition.range_factor(0.5))
+    spectrum = _as_spectrum(spectrum, matrix.shape[1])
+    factor = _real_times_complex(matrix, spectrum.decomposition.range_factor(0.5))
     variances = np.sum(np.abs(factor) ** 2, axis=1)
     return ClassicalField(A=factor, diag=variances)
 
@@ -295,8 +286,8 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
     the gain matrix and the cross-spectrum only. A NaN gain is refused.
     """
     gain = _full_rank_gain(leadfield)
-    whitener, rank = _whitener(spectrum, gain.shape[0])
-    pulled_back = _real_times_complex(gain.T, whitener)
+    spectrum = _as_spectrum(spectrum, gain.shape[0])
+    pulled_back = _real_times_complex(gain.T, _whitener(spectrum))
     row_norms = np.linalg.norm(pulled_back, axis=1)
     largest = float(np.max(row_norms))
     dead = row_norms <= ZERO_ROW_RTOL * largest
@@ -310,9 +301,9 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
     return ConnectivityFactor(
         W=pulled_back,
         method="partial",
-        band=_spectrum_band(spectrum),
+        band=spectrum.band or (spectrum.frequency, spectrum.frequency),
         fingerprint=gain_fingerprint(gain),
-        effective_rank=rank,
+        effective_rank=spectrum.decomposition.rank,
     )
 
 
@@ -328,9 +319,8 @@ def pairwise_partial(leadfield, spectrum, k: int, l: int) -> complex:
     k, l = (_voxel_index(voxel, gain.shape[1]) for voxel in (k, l))
     if k == l:
         return 1.0 + 0.0j
-    whitener, _ = _whitener(spectrum, gain.shape[0])
     # the two voxels' rows of the unnormalized partial factor
-    row_k, row_l = gain[:, [k, l]].T @ whitener
+    row_k, row_l = gain[:, [k, l]].T @ _whitener(_as_spectrum(spectrum, gain.shape[0]))
     quad_kk = float(np.real(np.vdot(row_k, row_k)))
     quad_ll = float(np.real(np.vdot(row_l, row_l)))
     if quad_kk <= 0.0 or quad_ll <= 0.0:
@@ -463,7 +453,7 @@ def reflexive_residuals(leadfield, spectrum, inverse) -> ReflexiveCheck:
     """
     gain = _full_rank_gain(leadfield)
     matrix = _inverse_matrix(inverse, gain)
-    decomposition = _spectrum_eig(spectrum, gain.shape[0])
+    decomposition = _as_spectrum(spectrum, gain.shape[0]).decomposition
     covariance_factor = matrix @ decomposition.range_factor(0.5)  # S_J = B B*
     ginverse_factor = gain.T @ decomposition.range_factor(-0.5)  # G = C C*
     r_cov = np.linalg.qr(covariance_factor, mode="r")

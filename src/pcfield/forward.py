@@ -784,9 +784,9 @@ def write_voxels_csv(path, voxels: VoxelGrid) -> None:
 
 
 def read_voxels_csv(path) -> VoxelGrid:
+    """Read an `id,x,y,z` table; the spacing is its :func:`min_nn_distance`."""
     positions = np.array(rows_by_id(path, read_table(path, _VOXEL_COLUMNS)[1]))
-    spacing = min_nn_distance(positions) if len(positions) > 1 else 1.0
-    return VoxelGrid(positions=positions, spacing=spacing)
+    return VoxelGrid(positions=positions, spacing=min_nn_distance(positions))
 
 
 def save_leadfield(leadfield: LeadField, path) -> None:

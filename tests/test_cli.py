@@ -288,6 +288,21 @@ class TestConnectCommand:
         assert f"seed {n_voxels} out of range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds", ["5,,7,", "5,5", "5,05", ""])
+    def test_malformed_seed_list_writes_nothing(
+        self, pipeline, tmp_path, capsys, seeds
+    ):
+        out = tmp_path / "maps"
+        code = run_cli(
+            "connect", "--leadfield", pipeline["lf"], "--xspec", pipeline["xspec"],
+            "--method", "partial", "--measure", "coherence",
+            "--seeds", seeds, "--out", out,
+        )
+        assert code == 2
+        message = f"distinct comma-separated voxel ids, got {seeds!r}"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_channel_count_mismatch(self, pipeline, tmp_path, capsys):
         epochs = tmp_path / "two.csv"
         epochs.write_text(
@@ -453,6 +468,20 @@ class TestCompareCommand:
             "--out", tmp_path / "s.csv",
         )
         assert code == 2
+
+    def test_one_voxel_composite_is_refused(self, pipeline, tmp_path, capsys):
+        maps = tmp_path / "maps"
+        shutil.copytree(pipeline["maps"]["partial"], maps)
+        composite = maps / "composite.csv"
+        composite.write_text("".join(composite.read_text().splitlines(True)[:2]))
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            "compare", "--maps", maps, "--truth", pipeline["sim"] / "truth.csv",
+            "--out", out,
+        )
+        assert code == 2
+        assert "need at least two positions" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_truth_file(self, pipeline, tmp_path):
         code = run_cli(

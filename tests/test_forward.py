@@ -472,6 +472,13 @@ class TestGeometryCsv:
         with pytest.raises(FormatError):
             read_voxels_csv(path)
 
+    def test_one_voxel_table_is_refused(self, tmp_path):
+        # one voxel has no neighbour, so no spacing can be recovered
+        path = tmp_path / "grid.csv"
+        path.write_text("id,x,y,z\n0,0.0,0.0,0.5\n")
+        with pytest.raises(ValidationError, match="need at least two positions"):
+            read_voxels_csv(path)
+
     def test_save_load_leadfield_bitwise(self, tmp_path, small_leadfield):
         path = tmp_path / "lf.pcf"
         save_leadfield(small_leadfield, path)

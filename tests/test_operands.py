@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gain, random_pd
+from conftest import random_gain, random_pd, random_psd
 from pcfield import (
+    ClassicalField,
+    ConnectivityFactor,
+    CrossSpectrum,
     DimensionError,
     GroundTruth,
     InverseOperator,
+    NotPositiveSemidefiniteError,
+    ReflexiveCheck,
     SeededMap,
     SimulationConfig,
     SingularMatrixError,
@@ -70,6 +75,50 @@ INVERSE_TAKERS = {
     ),
 }
 
+def good_gain():
+    """The gain :func:`good_inverse` inverts."""
+    return random_gain(np.random.default_rng(1), 2, 3)
+
+
+# Every function that takes a spectrum, called with a two-channel spectrum.
+SPECTRUM_TAKERS = {
+    "partial_field": lambda spectrum: partial_field(good_gain(), spectrum),
+    "classical_field": lambda spectrum: classical_field(good_inverse(), spectrum),
+    "pairwise_partial": lambda spectrum: pairwise_partial(
+        good_gain(), spectrum, 0, 1
+    ),
+    "reflexive_residuals": lambda spectrum: reflexive_residuals(
+        good_gain(), spectrum, good_inverse()
+    ),
+}
+
+# Malformed two-channel spectra, each with the error every taker raises.
+BAD_SPECTRA = {
+    "nan": (np.array([[math.nan, 0.0], [0.0, 1.0]]), ValidationError, "non-finite"),
+    "non_square": (np.ones((2, 3)), DimensionError, "square"),
+    "non_hermitian": (np.array([[1.0, 1.0], [0.0, 1.0]]), ValidationError, "Hermitian"),
+    "indefinite": (np.diag([1.0, -1.0]), NotPositiveSemidefiniteError, "cross-spectrum"),
+    "wrong_channels_array": (np.eye(3), DimensionError, "3 channels, expected 2"),
+    "wrong_channels_spectrum": (
+        CrossSpectrum(matrix=np.eye(3), frequency=10.0, n_epochs=4),
+        DimensionError,
+        "3 channels, expected 2",
+    ),
+}
+
+
+def result_bytes(result) -> bytes:
+    """Every number a spectrum taker returns, as bytes; a factor's band left out."""
+    if isinstance(result, ConnectivityFactor):
+        parts = (result.W, result.effective_rank)
+    elif isinstance(result, ClassicalField):
+        parts = (result.A, result.diag)
+    elif isinstance(result, ReflexiveCheck):
+        parts = (result.ginverse_residual, result.reflexive_residual)
+    else:
+        parts = (result,)
+    return b"".join(np.asarray(part).tobytes() for part in parts)
+
 
 class TestGainRule:
     @pytest.mark.parametrize("name", sorted(GAIN_TAKERS))
@@ -111,6 +160,41 @@ class TestInverseRule:
     def test_one_dimensional_inverse_is_dimension_error(self, name):
         with pytest.raises(DimensionError, match="2-d"):
             INVERSE_TAKERS[name](np.ones(3))
+
+
+class TestSpectrumRule:
+    @pytest.mark.parametrize("bad", sorted(BAD_SPECTRA))
+    @pytest.mark.parametrize("name", sorted(SPECTRUM_TAKERS))
+    def test_malformed_spectrum_is_refused(self, name, bad):
+        spectrum, error, message = BAD_SPECTRA[bad]
+        with pytest.raises(error, match=message):
+            SPECTRUM_TAKERS[name](spectrum)
+
+    @pytest.mark.parametrize("name", ["partial_field", "pairwise_partial"])
+    def test_zero_spectrum_has_no_whitener(self, name):
+        with pytest.raises(SingularMatrixError, match="no positive eigenvalues"):
+            SPECTRUM_TAKERS[name](np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SPECTRUM_TAKERS))
+    def test_array_and_cross_spectrum_give_the_same_bytes(self, name, rank):
+        matrix = random_psd(np.random.default_rng(rank), 2, rank)
+        spectrum = CrossSpectrum(matrix=matrix, frequency=10.0, n_epochs=4)
+        assert result_bytes(SPECTRUM_TAKERS[name](matrix)) == result_bytes(
+            SPECTRUM_TAKERS[name](spectrum)
+        )
+
+    def test_factor_band_follows_the_spectrum(self):
+        gain, matrix = good_gain(), random_pd(np.random.default_rng(2), 2)
+        assert all(math.isnan(edge) for edge in partial_field(gain, matrix).band)
+        single = CrossSpectrum(matrix=matrix, frequency=10.0, n_epochs=4)
+        assert partial_field(gain, single).band == (10.0, 10.0)
+        averaged = CrossSpectrum(matrix=matrix, frequency=10.0, n_epochs=4, band=(8, 12))
+        assert partial_field(gain, averaged).band == (8.0, 12.0)
+
+    def test_same_voxel_pair_returns_before_the_spectrum(self):
+        bad = BAD_SPECTRA["nan"][0]
+        assert pairwise_partial(good_gain(), bad, 1, 1) == 1.0
 
 
 class TestVoxelIds:
