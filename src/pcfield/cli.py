@@ -257,7 +257,6 @@ def cmd_xspec(args) -> int:
     bins = band_bins(recording.n_samples, recording.rate, lo, hi)
     spectrum = band_cross_spectrum(recording, lo, hi)
     with _writing_outputs():
-        write_pcf1(args.out, spectrum.values)
         write_manifest(
             sidecar(args.out, "meta"),
             {
@@ -269,6 +268,7 @@ def cmd_xspec(args) -> int:
                 "bins": " ".join(str(b) for b in bins),
             },
         )
+        write_pcf1(args.out, spectrum.values)
     print(
         f"averaged {len(bins)} bins ({', '.join(str(b) for b in bins)}) over "
         f"{spectrum.n_epochs} epochs; wrote {args.out}"

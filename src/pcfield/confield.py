@@ -205,7 +205,8 @@ def _as_spectrum(spectrum, n_channels: int) -> CrossSpectrum:
     """``spectrum`` as a :class:`CrossSpectrum` of ``n_channels`` channels.
 
     A bare array is wrapped (frequency NaN, one epoch), so it meets the same
-    checks, with the same messages: finite, square, Hermitian and PSD.
+    checks, with the same messages: finite, square, Hermitian, PSD and with
+    a positive eigenvalue.
     """
     if not isinstance(spectrum, CrossSpectrum):
         spectrum = CrossSpectrum(matrix=spectrum, frequency=math.nan, n_epochs=1)
@@ -213,14 +214,9 @@ def _as_spectrum(spectrum, n_channels: int) -> CrossSpectrum:
         raise DimensionError(
             f"spectrum has {spectrum.dim} channels, expected {n_channels}"
         )
-    return spectrum
-
-
-def _whitener(spectrum: CrossSpectrum) -> np.ndarray:
-    """``Gamma+ Lambda+^(-1/2)`` of the spectrum; a zero spectrum is refused."""
     if spectrum.decomposition.rank == 0:
         raise SingularMatrixError("cross-spectrum has no positive eigenvalues")
-    return spectrum.decomposition.range_factor(-0.5)
+    return spectrum
 
 
 def _real_times_complex(real: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -287,7 +283,7 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
     """
     gain = _full_rank_gain(leadfield)
     spectrum = _as_spectrum(spectrum, gain.shape[0])
-    pulled_back = _real_times_complex(gain.T, _whitener(spectrum))
+    pulled_back = _real_times_complex(gain.T, spectrum.decomposition.range_factor(-0.5))
     row_norms = np.linalg.norm(pulled_back, axis=1)
     largest = float(np.max(row_norms))
     dead = row_norms <= ZERO_ROW_RTOL * largest
@@ -320,7 +316,8 @@ def pairwise_partial(leadfield, spectrum, k: int, l: int) -> complex:
     if k == l:
         return 1.0 + 0.0j
     # the two voxels' rows of the unnormalized partial factor
-    row_k, row_l = gain[:, [k, l]].T @ _whitener(_as_spectrum(spectrum, gain.shape[0]))
+    whitener = _as_spectrum(spectrum, gain.shape[0]).decomposition.range_factor(-0.5)
+    row_k, row_l = gain[:, [k, l]].T @ whitener
     quad_kk = float(np.real(np.vdot(row_k, row_k)))
     quad_ll = float(np.real(np.vdot(row_l, row_l)))
     if quad_kk <= 0.0 or quad_ll <= 0.0:
@@ -531,8 +528,7 @@ def dominant_component(factor) -> tuple[np.ndarray, float]:
 
 
 def save_factor(path, factor: ConnectivityFactor) -> None:
-    """Write the factor matrix (complex PCF1) plus a CSV manifest."""
-    write_pcf1(path, factor.W.astype(np.complex128))
+    """Write a CSV manifest, then the factor matrix (complex PCF1)."""
     write_manifest(
         sidecar(path, "manifest"),
         {
@@ -543,6 +539,7 @@ def save_factor(path, factor: ConnectivityFactor) -> None:
             "effective_rank": factor.effective_rank,
         },
     )
+    write_pcf1(path, factor.W)
 
 
 def load_factor(path) -> ConnectivityFactor:

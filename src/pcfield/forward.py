@@ -81,6 +81,8 @@ class ElectrodeArray:
         positions = np.asarray(self.positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise DimensionError("electrode positions must be (n, 3)")
+        if positions.shape[0] == 0:
+            raise DimensionError("electrode array is empty")
         if len(self.labels) != positions.shape[0]:
             raise DimensionError("label count does not match position count")
         if len(set(self.labels)) != len(self.labels):
@@ -790,10 +792,13 @@ def read_voxels_csv(path) -> VoxelGrid:
 
 
 def save_leadfield(leadfield: LeadField, path) -> None:
-    """Write gain matrix (PCF1) plus electrode and voxel CSV sidecars."""
-    write_pcf1(path, leadfield.gain)
+    """Write the electrode and voxel CSV sidecars, then the gain (PCF1).
+
+    The gain goes last, so a failed write never leaves it without sidecars.
+    """
     write_electrodes_csv(sidecar(path, "electrodes"), leadfield.electrodes)
     write_voxels_csv(sidecar(path, "voxels"), leadfield.voxels)
+    write_pcf1(path, leadfield.gain)
 
 
 def load_leadfield(path) -> LeadField:

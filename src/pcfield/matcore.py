@@ -39,24 +39,16 @@ HERMITIAN_RTOL = 1e-12
 class HermitianMatrix:
     """Complex square matrix with conjugate symmetry.
 
-    Construction validates ``max|S - S*| <= HERMITIAN_RTOL * max|S|``, a
-    bound that scales with the data units, and then stores the exact
+    Construction always checks ``max|S - S*| <= HERMITIAN_RTOL * max|S|``,
+    a bound that scales with the data units, and then stores the exact
     symmetrization ``(S + S*) / 2``, so the stored diagonal is exactly real.
-    The underlying array is frozen; use :attr:`values` to read it.
-
-    Parameters
-    ----------
-    entries : array_like
-        Square matrix, real or complex.
-    atol : float
-        Asymmetry tolerated on top of the relative bound. Internal callers
-        that have already produced a Hermitian result pass ``inf`` to skip
-        the check (the symmetrization still runs).
+    ``entries`` is a square matrix, real or complex. The underlying array
+    is frozen; use :attr:`values` to read it.
     """
 
     __slots__ = ("_values",)
 
-    def __init__(self, entries, atol: float = 0.0):
+    def __init__(self, entries):
         values = np.asarray(entries)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DimensionError(
@@ -68,7 +60,7 @@ class HermitianMatrix:
         if not np.all(np.isfinite(values)):
             raise ValidationError("matrix contains non-finite entries")
         asymmetry = float(np.max(np.abs(values - values.conj().T)))
-        bound = HERMITIAN_RTOL * float(np.max(np.abs(values))) + atol
+        bound = HERMITIAN_RTOL * float(np.max(np.abs(values)))
         if not (asymmetry <= bound):
             raise ValidationError(
                 f"matrix is not Hermitian: max|S - S*| = {asymmetry:.3e} "
@@ -103,6 +95,11 @@ def as_hermitian(matrix) -> HermitianMatrix:
     return HermitianMatrix(matrix)
 
 
+def _hermitian_part(matrix: np.ndarray) -> HermitianMatrix:
+    """Exactly Hermitian ``(M + M*) / 2``, so the construction check passes."""
+    return HermitianMatrix((matrix + matrix.conj().T) / 2.0)
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectral factorization ``S = vectors @ diag(values) @ vectors*``.
@@ -127,13 +124,13 @@ class EigenDecomposition:
         return self.eigenvectors[:, positive] * self.eigenvalues[positive] ** power
 
 
-def hermitian_eig(matrix, tol: float = RANK_TOL) -> EigenDecomposition:
+def hermitian_eig(matrix) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix with rank detection.
 
     Eigenvalues are returned in nonincreasing order; any eigenvalue with
-    magnitude at or below ``tol * max|eigenvalue|`` is reported as exactly
-    zero. For a PSD Hermitian matrix this coincides with its singular value
-    decomposition.
+    magnitude at or below ``RANK_TOL * max|eigenvalue|`` is reported as
+    exactly zero (the package's one rank rule). For a PSD Hermitian matrix
+    this coincides with its singular value decomposition.
 
     Raises
     ------
@@ -142,14 +139,12 @@ def hermitian_eig(matrix, tol: float = RANK_TOL) -> EigenDecomposition:
     DimensionError
         If the input is empty or not square.
     """
-    if tol < 0:
-        raise ValidationError(f"tol must be nonnegative, got {tol}")
     hermitian = as_hermitian(matrix)
     eigvals, eigvecs = np.linalg.eigh(hermitian.values)
     eigvals = eigvals[::-1].copy()
     eigvecs = eigvecs[:, ::-1].copy()
     scale = float(np.max(np.abs(eigvals)))
-    negligible = np.abs(eigvals) <= tol * scale
+    negligible = np.abs(eigvals) <= RANK_TOL * scale
     eigvals[negligible] = 0.0
     rank = int(np.count_nonzero(eigvals))
     return EigenDecomposition(eigenvectors=eigvecs, eigenvalues=eigvals, rank=rank)
@@ -178,7 +173,7 @@ def _psd_power(matrix, power: float, context: str) -> HermitianMatrix:
     """``Gamma+ Lambda+^power Gamma+*``: zero eigenvalues contribute zero."""
     decomposition = psd_eig(matrix, context)
     result = decomposition.range_factor(power) @ decomposition.range_factor(0.0).conj().T
-    return HermitianMatrix(result, atol=math.inf)
+    return _hermitian_part(result)
 
 
 def inv_sqrt_hermitian(matrix) -> HermitianMatrix:
@@ -297,4 +292,4 @@ def direct_partial_coherence(matrix) -> HermitianMatrix:
     scaling = 1.0 / np.sqrt(np.real(np.diag(inverse)))
     partial = inverse * np.outer(scaling, scaling)
     np.fill_diagonal(partial, 1.0)
-    return HermitianMatrix(partial, atol=math.inf)
+    return _hermitian_part(partial)

@@ -12,7 +12,6 @@ the same inputs, numpy/BLAS build and BLAS thread count give the same bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -20,7 +19,13 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, ValidationError
 from .forward import read_table, write_lines
-from .matcore import EigenDecomposition, HermitianMatrix, as_hermitian, psd_eig
+from .matcore import (
+    EigenDecomposition,
+    HermitianMatrix,
+    _hermitian_part,
+    as_hermitian,
+    psd_eig,
+)
 
 
 @dataclass(frozen=True)
@@ -149,34 +154,24 @@ def cross_spectrum(rec: EpochedRecording, bin: int) -> CrossSpectrum:
     folded = min(bin, rec.n_samples - bin)
     matrix = _mean_outer_product(rec, [folded])
     matrix = matrix if folded == bin else matrix.conj()
-    # trusted construction: symmetrization below is the documented (S+S*)/2
     return CrossSpectrum(
-        matrix=HermitianMatrix(matrix, atol=math.inf),
+        matrix=_hermitian_part(matrix),
         frequency=bin * rec.bin_width,
         n_epochs=rec.n_epochs,
     )
 
 
-def band_bins(
-    n_samples: int,
-    rate: float,
-    f_lo: float,
-    f_hi: float,
-    include_edges: bool = False,
-) -> list[int]:
+def band_bins(n_samples: int, rate: float, f_lo: float, f_hi: float) -> list[int]:
     """DFT bins whose frequency lies in [f_lo, f_hi], both ends inclusive.
 
-    DC and (for even lengths) Nyquist are excluded unless ``include_edges``
-    is set; both are degenerate for real signals.
+    DC and (for even lengths) Nyquist are always left out, since both are
+    degenerate for real signals: the bins run 1 .. ``(n_samples - 1) // 2``.
     """
     if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo > f_hi:
         raise ValidationError(f"invalid band [{f_lo}, {f_hi}]")
     width = rate / n_samples
-    lowest = 0 if include_edges else 1
-    highest = n_samples // 2
-    if not include_edges and n_samples % 2 == 0:
-        highest -= 1
-    bins = [b for b in range(lowest, highest + 1) if f_lo <= b * width <= f_hi]
+    highest = (n_samples - 1) // 2
+    bins = [b for b in range(1, highest + 1) if f_lo <= b * width <= f_hi]
     if not bins:
         raise ValidationError(
             f"band [{f_lo}, {f_hi}] Hz contains no usable DFT bin at "
@@ -197,7 +192,7 @@ def band_cross_spectrum(
     matrix = _mean_outer_product(rec, bins)
     frequencies = np.asarray(bins, dtype=np.float64) * rec.bin_width
     return CrossSpectrum(
-        matrix=HermitianMatrix(matrix, atol=math.inf),
+        matrix=_hermitian_part(matrix),
         frequency=float(np.mean(frequencies)),
         n_epochs=rec.n_epochs,
         band=(float(f_lo), float(f_hi)),

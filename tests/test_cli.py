@@ -173,7 +173,7 @@ class TestXspecCommand:
         assert np.allclose(matrix, matrix.conj().T, atol=1e-9)
         meta = dict(
             row for row in csv.reader(
-                (pipeline["root"] / "alpha.meta.csv").open()
+                (pipeline["root"] / "alpha.meta.csv").read_text().splitlines()
             )
             if len(row) == 2 and row[0] != "key"
         )
@@ -233,7 +233,7 @@ class TestConnectCommand:
     def test_manifest_contents(self, pipeline):
         manifest = dict(
             row for row in csv.reader(
-                (pipeline["maps"]["partial"] / "manifest.csv").open()
+                (pipeline["maps"]["partial"] / "manifest.csv").read_text().splitlines()
             )
             if len(row) == 2 and row[0] != "key"
         )
@@ -430,6 +430,14 @@ class TestRenderCommand:
         )
         assert code == 64
 
+    def test_non_numeric_scale_percent_is_usage_error(self, pipeline, tmp_path):
+        code = run_cli(
+            "render", "--map", pipeline["maps"]["partial"] / "composite.csv",
+            "--out", tmp_path / "x.ppm", "--scale-percent", "abc",
+        )
+        assert code == 64
+        assert not (tmp_path / "x.ppm").exists()
+
 
 class TestCompareCommand:
     def test_scores_both_methods(self, pipeline):
@@ -453,6 +461,20 @@ class TestCompareCommand:
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
         assert len(rows) == 2
+
+    def test_truth_without_source_rows_is_format_error(self, pipeline, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        lines = (pipeline["sim"] / "truth.csv").read_text().splitlines()
+        truth.write_text(
+            "\n".join(line for line in lines if not line.startswith("source,")) + "\n"
+        )
+        code = run_cli(
+            "compare", "--maps", pipeline["maps"]["partial"], "--truth", truth,
+            "--out", tmp_path / "s.csv",
+        )
+        assert code == 2
+        assert "no source rows" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize(
         "manifest",
@@ -546,6 +568,30 @@ def test_output_that_cannot_be_created(pipeline, tmp_path, capsys, command):
     assert run_cli(*(arg.format(**fields) for arg in command)) == 73
     assert capsys.readouterr().err.startswith("pcfield: ")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        (["leadfield", "--builtin-1020", "--grid", "0.2"], "out.voxels.csv"),
+        (["leadfield", "--builtin-1020", "--grid", "0.2"], "out.electrodes.csv"),
+        (
+            ["xspec", "--epochs", "{epochs}", "--rate", "64", "--band", "8:12"],
+            "out.meta.csv",
+        ),
+    ],
+    ids=["leadfield-voxels", "leadfield-electrodes", "xspec-meta"],
+)
+def test_failed_sidecar_write_leaves_no_primary_file(
+    pipeline, tmp_path, command, blocked
+):
+    # the sidecars are written first, so the primary file never exists
+    # without them
+    (tmp_path / blocked).mkdir()
+    epochs = pipeline["sim"] / "epochs.csv"
+    argv = [arg.format(epochs=epochs) for arg in command]
+    assert run_cli(*argv, "--out", tmp_path / "out.pcf") == 73
+    assert not (tmp_path / "out.pcf").exists()
 
 
 def test_missing_input_inside_out_directory_is_missing_input(tmp_path):

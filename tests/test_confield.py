@@ -649,6 +649,14 @@ class TestFactorPersistence:
         with pytest.raises((FileNotFoundError, OSError)):
             load_factor(path)
 
+    def test_failed_manifest_write_leaves_no_factor_file(self, tmp_path):
+        rng = np.random.default_rng(25)
+        factor = partial_field(random_gain(rng, 4, 8), random_pd(rng, 4))
+        (tmp_path / "factor.manifest.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_factor(tmp_path / "factor.pcf", factor)
+        assert not (tmp_path / "factor.pcf").exists()
+
 
 class TestMapCsv:
     def test_round_trip_exact(self, tmp_path):

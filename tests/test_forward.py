@@ -111,6 +111,10 @@ class TestMontage:
         with pytest.raises(ValidationError):
             ElectrodeArray(labels=("A", "B"), positions=positions)
 
+    def test_empty_array_rejected(self):
+        with pytest.raises(DimensionError, match="empty"):
+            ElectrodeArray(labels=(), positions=np.zeros((0, 3)))
+
 
 class TestGrid:
     def test_strictly_inside_radius(self):
@@ -434,6 +438,31 @@ class TestPcf1:
     def test_non_finite_refused_on_write(self, tmp_path):
         with pytest.raises(FormatError):
             write_pcf1(tmp_path / "nan.pcf", np.array([[np.nan]]))
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.pcf"
+        write_pcf1(path, np.eye(2))
+        path.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(FormatError, match="truncated header"):
+            read_pcf1(path)
+
+    def test_unknown_dtype_code_rejected(self, tmp_path):
+        path = tmp_path / "dtype.pcf"
+        write_pcf1(path, np.eye(2))
+        raw = bytearray(path.read_bytes())
+        raw[4] = 99
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unknown dtype code 99"):
+            read_pcf1(path)
+
+    def test_non_finite_payload_rejected_on_read(self, tmp_path):
+        path = tmp_path / "nan.pcf"
+        write_pcf1(path, np.eye(2))
+        raw = bytearray(path.read_bytes())
+        raw[13:21] = np.array([np.inf]).astype("<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_pcf1(path)
 
 
 class TestGeometryCsv:

@@ -1,7 +1,5 @@
 """Hermitian core: eigendecomposition, pseudo-inverses, reflexivity checks."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +19,7 @@ from pcfield import (
     is_reflexive_ginverse,
     moore_penrose,
 )
+from pcfield.matcore import _hermitian_part
 
 
 class TestHermitianMatrix:
@@ -51,10 +50,14 @@ class TestHermitianMatrix:
         with pytest.raises(ValidationError, match="not Hermitian"):
             HermitianMatrix(1e-12 * np.triu(np.ones((4, 4))))
 
-    def test_atol_inf_skips_check_but_still_symmetrizes(self):
-        raw = np.array([[1.0, 4.0], [0.0, 1.0]])
-        stored = HermitianMatrix(raw, atol=math.inf).values
-        assert stored[0, 1] == stored[1, 0].conjugate() == 2.0
+    def test_hermitian_part_stores_the_symmetrization_bit_for_bit(self):
+        # a product that is Hermitian only up to rounding, as the internal
+        # builders produce it
+        rng = np.random.default_rng(5)
+        factor = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        product = (factor * rng.uniform(0.1, 2.0, 3)) @ factor.conj().T
+        expected = (product + product.conj().T) / 2.0
+        assert _hermitian_part(product).values.tobytes() == expected.tobytes()
 
     def test_rejects_non_square_and_empty(self):
         with pytest.raises(DimensionError):
@@ -110,10 +113,6 @@ class TestHermitianEig:
         matrix = random_pd(rng, 6)
         decomposition = hermitian_eig(matrix)
         assert np.allclose(decomposition.reconstruct(), matrix, atol=1e-12)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValidationError):
-            hermitian_eig(np.eye(2), tol=-1.0)
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)

@@ -324,6 +324,18 @@ class TestConfigFiles:
         with pytest.raises(FormatError, match=r"value\.txt:1"):
             parse_config(path)
 
+    def test_line_without_equals_names_the_line(self, tmp_path):
+        path = tmp_path / "noeq.txt"
+        path.write_text("seed = 1\nn_epochs 5\n")
+        with pytest.raises(FormatError, match=r"noeq\.txt:2: expected key=value"):
+            parse_config(path)
+
+    def test_refused_config_names_the_path(self, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("n_epochs = 0\n")
+        with pytest.raises(FormatError, match=r"zero\.txt: n_epochs must be at least 1"):
+            parse_config(path)
+
     def test_malformed_pair_rejected(self, tmp_path):
         path = tmp_path / "pair.txt"
         path.write_text("source_voxels = 5\n")

@@ -220,9 +220,9 @@ class TestBandBins:
     def test_nyquist_excluded_by_default(self):
         assert list(band_bins(64, 64.0, 30.0, 32.0)) == [30, 31]
 
-    def test_edges_included_on_request(self):
-        bins = band_bins(64, 64.0, 0.0, 32.0, include_edges=True)
-        assert bins[0] == 0 and bins[-1] == 32
+    def test_odd_length_keeps_the_top_bin(self):
+        # 63 samples have no Nyquist bin; the top bin is (63 - 1) // 2
+        assert list(band_bins(63, 63.0, 30.0, 31.5)) == [30, 31]
 
     def test_empty_band_rejected(self):
         with pytest.raises(ValidationError):
