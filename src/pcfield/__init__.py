@@ -72,6 +72,7 @@ from .confield import (
     SeededMap,
     classical_coherence,
     classical_field,
+    connectivity_maps,
     dominant_component,
     lagged_measure,
     load_factor,

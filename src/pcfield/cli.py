@@ -25,15 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .confield import (
-    classical_field,
-    max_over_seeds,
-    partial_field,
-    save_factor,
-    seeded_map,
-    read_map_csv,
-    write_map_csv,
-)
+from .confield import connectivity_maps, read_map_csv, save_factor, write_map_csv
 from .errors import FormatError, PcfieldError, ValidationError
 from .forward import (
     LeadField,
@@ -41,18 +33,17 @@ from .forward import (
     electrode_seed_voxels,
     load_leadfield,
     min_nn_distance,
-    min_norm_inverse,
     read_electrodes_csv,
     read_manifest,
     read_pcf1,
     read_table,
     read_voxels_csv,
     save_leadfield,
+    save_with_sidecars,
     sidecar,
     spherical_grid,
     synth_leadfield,
     write_manifest,
-    write_pcf1,
     write_table,
 )
 from .simharness import (
@@ -256,19 +247,16 @@ def cmd_xspec(args) -> int:
     lo, hi = args.band
     bins = band_bins(recording.n_samples, recording.rate, lo, hi)
     spectrum = band_cross_spectrum(recording, lo, hi)
+    meta = {
+        "band_lo": repr(lo),
+        "band_hi": repr(hi),
+        "frequency": repr(spectrum.frequency),
+        "rate": repr(recording.rate),
+        "n_epochs": spectrum.n_epochs,
+        "bins": " ".join(str(b) for b in bins),
+    }
     with _writing_outputs():
-        write_manifest(
-            sidecar(args.out, "meta"),
-            {
-                "band_lo": repr(lo),
-                "band_hi": repr(hi),
-                "frequency": repr(spectrum.frequency),
-                "rate": repr(recording.rate),
-                "n_epochs": spectrum.n_epochs,
-                "bins": " ".join(str(b) for b in bins),
-            },
-        )
-        write_pcf1(args.out, spectrum.values)
+        save_with_sidecars(args.out, spectrum.values, {"meta": (write_manifest, meta)})
     print(
         f"averaged {len(bins)} bins ({', '.join(str(b) for b in bins)}) over "
         f"{spectrum.n_epochs} epochs; wrote {args.out}"
@@ -292,7 +280,7 @@ def _read_xspec(path) -> CrossSpectrum:
 
 
 def _parse_seeds(text: str, leadfield: LeadField) -> list[int]:
-    """Distinct seed ids from ``--seeds``; ``seeded_map`` checks their range."""
+    """Seed ids from ``--seeds``; ``connectivity_maps`` drops repeats, checks range."""
     if text == "all-1020":
         return electrode_seed_voxels(leadfield)
     parts = [part.strip() for part in text.split(",")]
@@ -312,18 +300,14 @@ def cmd_connect(args) -> int:
     suffix = "coh" if args.measure == "coherence" else "lagged"
     tag = f"{args.method}_{suffix}"
 
+    source, maps, composite = connectivity_maps(leadfield, spectrum, tag, seeds)
     if args.method == "partial":
-        source = partial_field(leadfield, spectrum)
         print(
             f"partial factor: effective rank {source.effective_rank}, no "
             "inverse operator involved"
         )
     else:
-        inverse = min_norm_inverse(leadfield)
-        source = classical_field(inverse, spectrum)
         print("classical field via the minimum-norm inverse")
-    maps = [seeded_map(source, seed, tag) for seed in seeds]
-    composite = max_over_seeds(maps)
 
     # Write only once everything is computed, so a failed run writes nothing.
     out = Path(args.out)
@@ -340,7 +324,7 @@ def cmd_connect(args) -> int:
                 "method": args.method,
                 "measure": args.measure,
                 "tag": tag,
-                "seeds": " ".join(str(s) for s in seeds),
+                "seeds": " ".join(str(entry.seed) for entry in maps),
             },
         )
     print(f"wrote {len(maps)} seeded maps + composite to {out}")

@@ -31,15 +31,16 @@ from .forward import (
     _integer,
     _inverse_matrix,
     gain_fingerprint,
+    min_norm_inverse,
     read_manifest,
     read_pcf1,
     read_table,
     resolution_matrix,
     rows_by_id,
+    save_with_sidecars,
     sidecar,
     write_lines,
     write_manifest,
-    write_pcf1,
 )
 from .matcore import (
     ReflexiveCheck,
@@ -161,10 +162,7 @@ class SeededMap:
     measure: str
 
     def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ValidationError(
-                f"unknown measure {self.measure!r}, expected one of {MEASURES}"
-            )
+        _check_measure(self.measure)
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise DimensionError("map values must be a nonempty vector")
@@ -191,6 +189,12 @@ class SeededMap:
 
 # ---------------------------------------------------------------------------
 # shared coercions
+
+
+def _check_measure(measure: str) -> None:
+    """A ValidationError unless ``measure`` is one of :data:`MEASURES`."""
+    if measure not in MEASURES:
+        raise ValidationError(f"unknown measure {measure!r}, expected one of {MEASURES}")
 
 
 def _voxel_index(value, n_voxels: int, name: str = "voxel") -> int:
@@ -376,10 +380,7 @@ def seeded_map(source, seed: int, measure: str) -> SeededMap:
     lagged tags zero the row's seed entry before :func:`lagged_measure`,
     which maps it to exactly 0 (no self-lag).
     """
-    if measure not in MEASURES:
-        raise ValidationError(
-            f"unknown measure {measure!r}, expected one of {MEASURES}"
-        )
+    _check_measure(measure)
     expected = ConnectivityFactor if measure.startswith("partial") else ClassicalField
     if not isinstance(source, expected):
         raise ValidationError(
@@ -434,6 +435,25 @@ def max_over_seeds(maps) -> SeededMap:
         np.maximum(composite, entry.values, out=composite)
         composite[entry.seed] = kept
     return SeededMap(seed=None, values=composite, measure=measure)
+
+
+def connectivity_maps(leadfield, spectrum, measure: str, seeds):
+    """One measure's seeded maps and their composite, from ``K`` and ``S``.
+
+    A ``partial_*`` measure reads :func:`partial_field`, a ``classical_*``
+    measure the :func:`classical_field` of the minimum-norm inverse. Each
+    distinct integer seed (``2.0`` is refused) gets one :func:`seeded_map`,
+    in first-seen order; :func:`max_over_seeds` composes them. Returns
+    ``(source, maps, composite)``.
+    """
+    _check_measure(measure)
+    distinct = dict.fromkeys(_integer("seed", seed) for seed in seeds)
+    if measure.startswith("partial"):
+        source = partial_field(leadfield, spectrum)
+    else:
+        source = classical_field(min_norm_inverse(leadfield), spectrum)
+    maps = tuple(seeded_map(source, seed, measure) for seed in distinct)
+    return source, maps, max_over_seeds(maps)
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +548,15 @@ def dominant_component(factor) -> tuple[np.ndarray, float]:
 
 
 def save_factor(path, factor: ConnectivityFactor) -> None:
-    """Write a CSV manifest, then the factor matrix (complex PCF1)."""
-    write_manifest(
-        sidecar(path, "manifest"),
-        {
-            "method": factor.method,
-            "band_lo": repr(factor.band[0]),
-            "band_hi": repr(factor.band[1]),
-            "fingerprint": factor.fingerprint,
-            "effective_rank": factor.effective_rank,
-        },
-    )
-    write_pcf1(path, factor.W)
+    """Write a CSV manifest, then the factor matrix (complex PCF1), all or nothing."""
+    manifest = {
+        "method": factor.method,
+        "band_lo": repr(factor.band[0]),
+        "band_hi": repr(factor.band[1]),
+        "fingerprint": factor.fingerprint,
+        "effective_rank": factor.effective_rank,
+    }
+    save_with_sidecars(path, factor.W, {"manifest": (write_manifest, manifest)})
 
 
 def load_factor(path) -> ConnectivityFactor:

@@ -649,6 +649,27 @@ def sidecar(path, kind: str) -> Path:
     return stem.parent / f"{stem.name}.{kind}.csv"
 
 
+def save_with_sidecars(path, matrix, sidecars: dict) -> None:
+    """Write each sidecar, then ``matrix`` to ``path`` (PCF1); all or nothing.
+
+    ``sidecars`` maps a kind to a ``(writer, content)`` pair, written as
+    ``writer(sidecar(path, kind), content)``. The matrix goes last, so it
+    never exists without its sidecars, and if any write fails the files
+    this call wrote are removed before the error propagates.
+    """
+    written = []
+    try:
+        for kind, (writer, content) in sidecars.items():
+            target = sidecar(path, kind)
+            writer(target, content)
+            written.append(target)
+        write_pcf1(path, matrix)
+    except BaseException:
+        for target in written:
+            target.unlink(missing_ok=True)
+        raise
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -794,11 +815,13 @@ def read_voxels_csv(path) -> VoxelGrid:
 def save_leadfield(leadfield: LeadField, path) -> None:
     """Write the electrode and voxel CSV sidecars, then the gain (PCF1).
 
-    The gain goes last, so a failed write never leaves it without sidecars.
+    Through :func:`save_with_sidecars`, so a failed write leaves none of them.
     """
-    write_electrodes_csv(sidecar(path, "electrodes"), leadfield.electrodes)
-    write_voxels_csv(sidecar(path, "voxels"), leadfield.voxels)
-    write_pcf1(path, leadfield.gain)
+    sidecars = {
+        "electrodes": (write_electrodes_csv, leadfield.electrodes),
+        "voxels": (write_voxels_csv, leadfield.voxels),
+    }
+    save_with_sidecars(path, leadfield.gain, sidecars)
 
 
 def load_leadfield(path) -> LeadField:

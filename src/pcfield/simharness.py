@@ -22,20 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .confield import (
-    SeededMap,
-    classical_field,
-    max_over_seeds,
-    partial_field,
-    seeded_map,
-    write_map_csv,
-)
+from .confield import SeededMap, connectivity_maps, write_map_csv
 from .errors import DimensionError, FormatError, ValidationError
 from .forward import (
     LeadField,
     _integer,
     electrode_seed_voxels,
-    min_norm_inverse,
     utf8_lines,
     voxel_under_electrode,
     write_table,
@@ -289,7 +281,7 @@ def run_experiment(
 ) -> ExperimentReport:
     """Simulate, estimate both lagged connectivity families, and score them.
 
-    Seeds are the voxels under each electrode of the montage; composites
+    Seeds are the distinct voxels under the montage's electrodes; composites
     take the per-voxel maximum over the seeded maps. The classical family
     uses the minimum-norm inverse; the partial family needs no inverse.
     Reported SNR is the ratio of source-signal power to total noise power
@@ -304,26 +296,19 @@ def run_experiment(
     snr = signal_power / noise_power if noise_power > 0 else float("inf")
 
     spectrum = band_cross_spectrum(recording, band[0], band[1])
-    seeds = tuple(electrode_seed_voxels(leadfield))
-
-    inverse = min_norm_inverse(leadfield)
-    classical = classical_field(inverse, spectrum)
-    partial = partial_field(leadfield, spectrum)
-
-    classical_maps = tuple(
-        seeded_map(classical, seed, "classical_lagged") for seed in seeds
+    seeds = electrode_seed_voxels(leadfield)
+    _, classical_maps, classical_composite = connectivity_maps(
+        leadfield, spectrum, "classical_lagged", seeds
     )
-    partial_maps = tuple(
-        seeded_map(partial, seed, "partial_lagged") for seed in seeds
+    partial, partial_maps, partial_composite = connectivity_maps(
+        leadfield, spectrum, "partial_lagged", seeds
     )
-    classical_composite = max_over_seeds(classical_maps)
-    partial_composite = max_over_seeds(partial_maps)
 
     return ExperimentReport(
         config=cfg,
         truth=truth,
         band=(float(band[0]), float(band[1])),
-        seeds=seeds,
+        seeds=tuple(entry.seed for entry in partial_maps),
         classical_maps=classical_maps,
         partial_maps=partial_maps,
         classical_composite=classical_composite,

@@ -9,6 +9,8 @@ import pytest
 
 from pcfield import (
     band_cross_spectrum,
+    connectivity_maps,
+    electrode_seed_voxels,
     load_factor,
     load_leadfield,
     read_epochs_csv,
@@ -251,6 +253,44 @@ class TestConnectCommand:
         _, values = read_map_csv(pipeline["maps"]["partial"] / "composite.csv")
         top_two = set(np.argsort(-values, kind="stable")[:2].tolist())
         assert top_two == expected
+
+    @pytest.mark.parametrize("method", ["partial", "classical"])
+    def test_map_files_are_the_shared_analysis_path(self, pipeline, tmp_path, method):
+        leadfield = load_leadfield(pipeline["lf"])
+        spectrum = _read_xspec(pipeline["xspec"])
+        _, maps, composite = connectivity_maps(
+            leadfield, spectrum, f"{method}_lagged", electrode_seed_voxels(leadfield)
+        )
+        expected = {f"seed_{entry.seed}.csv": entry for entry in maps}
+        written = pipeline["maps"][method]
+        assert sorted(p.name for p in written.glob("seed_*.csv")) == sorted(expected)
+        expected["composite.csv"] = composite
+        for name, entry in expected.items():
+            write_map_csv(tmp_path / name, entry, leadfield.voxels)
+            assert (written / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_all_1020_on_coarse_grid_maps_each_voxel_once(self, tmp_path, capsys):
+        # at spacing 0.3 the 19 electrodes sit over 15 distinct voxels
+        lf, sim, xspec = tmp_path / "lf.pcf", tmp_path / "sim", tmp_path / "x.pcf"
+        out = tmp_path / "maps"
+        assert run_cli("leadfield", "--builtin-1020", "--grid", 0.3, "--out", lf) == 0
+        assert run_cli("simulate", "--leadfield", lf, "--out", sim) == 0
+        assert run_cli(
+            "xspec", "--epochs", sim / "epochs.csv", "--rate", 64.0,
+            "--band", "8:12", "--out", xspec,
+        ) == 0
+        capsys.readouterr()
+        assert run_cli(
+            "connect", "--leadfield", lf, "--xspec", xspec,
+            "--method", "partial", "--measure", "lagged", "--out", out,
+        ) == 0
+        assert f"wrote 15 seeded maps + composite to {out}" in capsys.readouterr().out
+        manifest = (out / "manifest.csv").read_text().splitlines()
+        seeds = [row[1].split() for row in csv.reader(manifest) if row[0] == "seeds"][0]
+        distinct = list(dict.fromkeys(electrode_seed_voxels(load_leadfield(lf))))
+        assert seeds == [str(seed) for seed in distinct]
+        files = sorted(p.name for p in out.glob("seed_*.csv"))
+        assert files == sorted(f"seed_{seed}.csv" for seed in distinct)
 
     def test_explicit_seed_list(self, pipeline, tmp_path):
         out = tmp_path / "one_seed"
@@ -592,6 +632,24 @@ def test_failed_sidecar_write_leaves_no_primary_file(
     argv = [arg.format(epochs=epochs) for arg in command]
     assert run_cli(*argv, "--out", tmp_path / "out.pcf") == 73
     assert not (tmp_path / "out.pcf").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["leadfield", "--builtin-1020", "--grid", "0.2"],
+        ["xspec", "--epochs", "{epochs}", "--rate", "64", "--band", "8:12"],
+    ],
+    ids=["leadfield", "xspec"],
+)
+def test_failed_primary_write_leaves_no_sidecars(pipeline, tmp_path, command):
+    # the primary path is a directory, so its write fails after the sidecars
+    blocked = tmp_path / "out"
+    blocked.mkdir()
+    argv = [arg.format(epochs=pipeline["sim"] / "epochs.csv") for arg in command]
+    assert run_cli(*argv, "--out", blocked) == 73
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+    assert list(blocked.iterdir()) == []
 
 
 def test_missing_input_inside_out_directory_is_missing_input(tmp_path):

@@ -26,6 +26,7 @@ from pcfield import (
     band_cross_spectrum,
     classical_coherence,
     classical_field,
+    connectivity_maps,
     direct_partial_coherence,
     dominant_component,
     is_reflexive_ginverse,
@@ -462,6 +463,54 @@ class TestSeedMapBits:
         composite = max_over_seeds(maps)
         assert composite.values.tobytes() == np.zeros(4).tobytes()
         assert composite.values.tobytes() == stacked_composite(maps).tobytes()
+
+
+class TestConnectivityMaps:
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        rng = np.random.default_rng(12)
+        return random_gain(rng, 5, 14), random_pd(rng, 5)
+
+    @pytest.mark.parametrize(
+        "measure", ["partial_coh", "partial_lagged", "classical_coh", "classical_lagged"]
+    )
+    def test_same_bits_as_the_steps_it_joins(self, inputs, measure):
+        gain, spectrum = inputs
+        seeds = [0, 7, 13]
+        source, maps, composite = connectivity_maps(gain, spectrum, measure, seeds)
+        if measure.startswith("partial"):
+            expected = partial_field(gain, spectrum)
+            assert source.W.tobytes() == expected.W.tobytes()
+        else:
+            expected = classical_field(min_norm_inverse(gain), spectrum)
+            assert source.A.tobytes() == expected.A.tobytes()
+        expected_maps = [seeded_map(expected, seed, measure) for seed in seeds]
+        assert [entry.seed for entry in maps] == seeds
+        for entry, reference in zip(maps, expected_maps):
+            assert entry.values.tobytes() == reference.values.tobytes()
+        reference = max_over_seeds(expected_maps)
+        assert composite.values.tobytes() == reference.values.tobytes()
+
+    def test_repeated_seed_mapped_once_in_first_place(self, inputs):
+        gain, spectrum = inputs
+        _, maps, composite = connectivity_maps(
+            gain, spectrum, "partial_lagged", [7, 2, 7, 0, 2]
+        )
+        assert [entry.seed for entry in maps] == [7, 2, 0]
+        source = partial_field(gain, spectrum)
+        repeated = [seeded_map(source, s, "partial_lagged") for s in (7, 2, 7, 0, 2)]
+        # a repeat never changed the composite; it only wrote the map twice
+        assert composite.values.tobytes() == max_over_seeds(repeated).values.tobytes()
+
+    def test_float_seed_refused_even_beside_its_integer(self, inputs):
+        gain, spectrum = inputs
+        with pytest.raises(ValidationError, match=r"seed must be an integer, got 2\.0"):
+            connectivity_maps(gain, spectrum, "classical_coh", [2, 2.0])
+
+    def test_unknown_measure_refused(self, inputs):
+        gain, spectrum = inputs
+        with pytest.raises(ValidationError, match="unknown measure 'partial'"):
+            connectivity_maps(gain, spectrum, "partial", [0])
 
 
 class TestSeededMapValidation:

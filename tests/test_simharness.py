@@ -16,6 +16,8 @@ from pcfield import (
     VoxelGrid,
     band_cross_spectrum,
     builtin_1020_electrodes,
+    connectivity_maps,
+    electrode_seed_voxels,
     gen_sources,
     lagged_measure,
     localization_error,
@@ -380,6 +382,31 @@ class TestRunExperiment:
 
     def test_partial_beats_classical(self, report):
         assert report.partial_error <= report.classical_error
+
+    @pytest.mark.parametrize("family", ["partial", "classical"])
+    def test_maps_are_the_shared_analysis_path(self, report, default_leadfield, family):
+        recording, _ = simulate_eeg(report.config, default_leadfield)
+        spectrum = band_cross_spectrum(recording, *report.band)
+        seeds = electrode_seed_voxels(default_leadfield)
+        _, maps, composite = connectivity_maps(
+            default_leadfield, spectrum, f"{family}_lagged", seeds
+        )
+        reported = getattr(report, f"{family}_maps")
+        assert [entry.seed for entry in reported] == [entry.seed for entry in maps]
+        for entry, expected in zip(reported, maps):
+            assert entry.values.tobytes() == expected.values.tobytes()
+        reported_composite = getattr(report, f"{family}_composite")
+        assert reported_composite.values.tobytes() == composite.values.tobytes()
+
+    def test_coarse_grid_seeds_each_voxel_once(self):
+        # at spacing 0.3 the 19 electrodes sit over 15 distinct voxels
+        leadfield = synth_leadfield(builtin_1020_electrodes(), spherical_grid(0.3))
+        coarse = run_experiment(SimulationConfig(seed=0), leadfield)
+        distinct = list(dict.fromkeys(electrode_seed_voxels(leadfield)))
+        assert len(distinct) == 15
+        assert list(coarse.seeds) == distinct
+        for maps in (coarse.partial_maps, coarse.classical_maps):
+            assert [entry.seed for entry in maps] == distinct
 
     def test_write_report_tree(self, tmp_path, report, default_leadfield):
         write_report(report, tmp_path, default_leadfield.voxels)
