@@ -10,9 +10,9 @@ portable pixmap.
 Exit codes: 0 success, 2 numerical or validation failure, 64 usage error,
 66 missing input file (or a directory given as one), 73 an output that
 cannot be created (its directory is missing or is a file, or the path is a
-directory). ``connect`` computes every map before it writes, so a failed
-run writes nothing.
-All outputs are deterministic for fixed inputs.
+directory). Every command computes before it writes, and a failed write
+removes the files that command wrote. All outputs are deterministic for
+fixed inputs.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ from .forward import (
     read_table,
     read_voxels_csv,
     save_leadfield,
-    save_with_sidecars,
     sidecar,
     spherical_grid,
     synth_leadfield,
+    write_all,
     write_manifest,
+    write_pcf1,
     write_table,
 )
 from .simharness import (
@@ -142,12 +143,8 @@ def build_parser() -> _Parser:
     connect = commands.add_parser("connect", help="seeded connectivity maps")
     connect.add_argument("--leadfield", required=True, metavar="PCF")
     connect.add_argument("--xspec", required=True, metavar="PCF")
-    connect.add_argument(
-        "--method", required=True, choices=("classical", "partial")
-    )
-    connect.add_argument(
-        "--measure", required=True, choices=("coherence", "lagged")
-    )
+    connect.add_argument("--method", required=True, choices=("classical", "partial"))
+    connect.add_argument("--measure", required=True, choices=("coherence", "lagged"))
     connect.add_argument(
         "--seeds",
         default="all-1020",
@@ -212,12 +209,16 @@ def _write_truth_csv(path, truth, voxels) -> None:
     write_table(path, _TRUTH_COLUMNS, rows)
 
 
-def _read_truth_sources(path) -> np.ndarray:
+def _read_truth_sources(path) -> tuple[list[int], np.ndarray]:
     _, rows = read_table(path, _TRUTH_COLUMNS)
-    positions = [row[2:] for row in rows if row[0] == "source"]
-    if not positions:
+    sources = [row[1:] for row in rows if row[0] == "source"]
+    if not sources:
         raise FormatError(f"{path}: no source rows")
-    return np.array(positions)
+    ids = [row[0] for row in sources]
+    for voxel in ids:
+        if ids.count(voxel) > 1:
+            raise FormatError(f"{path}: repeated source voxel id {voxel}")
+    return ids, np.array([row[1:] for row in sources])
 
 
 def cmd_simulate(args) -> int:
@@ -230,9 +231,11 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     with _writing_outputs():
         out.mkdir(parents=True, exist_ok=True)
-        write_epochs_csv(out / "epochs.csv", recording)
-        _write_truth_csv(out / "truth.csv", truth, leadfield.voxels)
-        write_config(out / "config.txt", config)
+        write_all([
+            (write_epochs_csv, out / "epochs.csv", recording),
+            (_write_truth_csv, out / "truth.csv", truth, leadfield.voxels),
+            (write_config, out / "config.txt", config),
+        ])
     print(
         f"simulated {recording.n_epochs} epochs x {recording.n_samples} samples "
         f"x {recording.n_channels} channels (sources at voxels "
@@ -256,7 +259,10 @@ def cmd_xspec(args) -> int:
         "bins": " ".join(str(b) for b in bins),
     }
     with _writing_outputs():
-        save_with_sidecars(args.out, spectrum.values, {"meta": (write_manifest, meta)})
+        write_all([
+            (write_manifest, sidecar(args.out, "meta"), meta),
+            (write_pcf1, args.out, spectrum.values),
+        ])
     print(
         f"averaged {len(bins)} bins ({', '.join(str(b) for b in bins)}) over "
         f"{spectrum.n_epochs} epochs; wrote {args.out}"
@@ -309,24 +315,18 @@ def cmd_connect(args) -> int:
     else:
         print("classical field via the minimum-norm inverse")
 
-    # Write only once everything is computed, so a failed run writes nothing.
-    out = Path(args.out)
+    out, voxels = Path(args.out), leadfield.voxels
+    seed_ids = " ".join(str(entry.seed) for entry in maps)
+    manifest = dict(method=args.method, measure=args.measure, tag=tag, seeds=seed_ids)
     with _writing_outputs():
         out.mkdir(parents=True, exist_ok=True)
-        if args.method == "partial":
-            save_factor(out / "factor.pcf", source)
-        for entry in maps:
-            write_map_csv(out / f"seed_{entry.seed}.csv", entry, leadfield.voxels)
-        write_map_csv(out / "composite.csv", composite, leadfield.voxels)
-        write_manifest(
-            out / "manifest.csv",
-            {
-                "method": args.method,
-                "measure": args.measure,
-                "tag": tag,
-                "seeds": " ".join(str(entry.seed) for entry in maps),
-            },
-        )
+        write_all([
+            *[(write_map_csv, out / f"seed_{m.seed}.csv", m, voxels) for m in maps],
+            (write_map_csv, out / "composite.csv", composite, voxels),
+            (write_manifest, out / "manifest.csv", manifest),
+            # last: save_factor is all or nothing itself, so nothing fails after it
+            *[(save_factor, out / "factor.pcf", source)] * (args.method == "partial"),
+        ])
     print(f"wrote {len(maps)} seeded maps + composite to {out}")
     return 0
 
@@ -377,13 +377,17 @@ def cmd_render(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    truth_positions = _read_truth_sources(args.truth)
+    truth_ids, truth_positions = _read_truth_sources(args.truth)
     rows = []
     for directory in args.maps:
         base = Path(directory)
         entries = read_manifest(base / "manifest.csv", {"method": str, "measure": str})
         positions, values = read_map_csv(base / "composite.csv")
         spacing = min_nn_distance(positions)
+        # Both files are written with repr, so a source's row matches exactly.
+        for voxel, xyz in zip(truth_ids, truth_positions.tolist()):
+            if not 0 <= voxel < len(positions) or positions[voxel].tolist() != xyz:
+                raise FormatError(f"{args.truth}: source {voxel} {xyz} not in {base}")
         error = peak_localization_error(values, positions, truth_positions, spacing)
         rows.append((entries["method"], entries["measure"], error))
     with _writing_outputs():

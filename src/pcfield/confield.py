@@ -37,10 +37,11 @@ from .forward import (
     read_table,
     resolution_matrix,
     rows_by_id,
-    save_with_sidecars,
     sidecar,
+    write_all,
     write_lines,
     write_manifest,
+    write_pcf1,
 )
 from .matcore import (
     ReflexiveCheck,
@@ -556,7 +557,10 @@ def save_factor(path, factor: ConnectivityFactor) -> None:
         "fingerprint": factor.fingerprint,
         "effective_rank": factor.effective_rank,
     }
-    save_with_sidecars(path, factor.W, {"manifest": (write_manifest, manifest)})
+    write_all([
+        (write_manifest, sidecar(path, "manifest"), manifest),
+        (write_pcf1, path, factor.W),
+    ])
 
 
 def load_factor(path) -> ConnectivityFactor:

@@ -27,8 +27,8 @@ hold strings, which ``csv`` may quote, stay on :func:`write_table`.
 field count, typed fields, finite numbers, at least one row; a breach is a
 FormatError naming the file and line. :func:`rows_by_id` checks voxel ids
 ``0..n-1``, :func:`sidecar` names the ``<stem>.<kind>.csv`` files next to a
-PCF1 matrix, and :func:`read_manifest` / :func:`write_manifest` handle the
-``key,value`` metadata tables.
+PCF1 matrix, :func:`read_manifest` / :func:`write_manifest` handle the
+``key,value`` tables, and :func:`write_all` writes files all or nothing.
 """
 
 from __future__ import annotations
@@ -649,24 +649,19 @@ def sidecar(path, kind: str) -> Path:
     return stem.parent / f"{stem.name}.{kind}.csv"
 
 
-def save_with_sidecars(path, matrix, sidecars: dict) -> None:
-    """Write each sidecar, then ``matrix`` to ``path`` (PCF1); all or nothing.
+def write_all(writes) -> None:
+    """Run each ``(writer, path, *args)`` as ``writer(path, *args)``, in order.
 
-    ``sidecars`` maps a kind to a ``(writer, content)`` pair, written as
-    ``writer(sidecar(path, kind), content)``. The matrix goes last, so it
-    never exists without its sidecars, and if any write fails the files
-    this call wrote are removed before the error propagates.
+    If one fails, the files written before it are removed and the error re-raised.
     """
     written = []
     try:
-        for kind, (writer, content) in sidecars.items():
-            target = sidecar(path, kind)
-            writer(target, content)
-            written.append(target)
-        write_pcf1(path, matrix)
+        for writer, path, *args in writes:
+            writer(path, *args)
+            written.append(Path(path))
     except BaseException:
-        for target in written:
-            target.unlink(missing_ok=True)
+        for path in written:
+            path.unlink(missing_ok=True)
         raise
 
 
@@ -813,15 +808,12 @@ def read_voxels_csv(path) -> VoxelGrid:
 
 
 def save_leadfield(leadfield: LeadField, path) -> None:
-    """Write the electrode and voxel CSV sidecars, then the gain (PCF1).
-
-    Through :func:`save_with_sidecars`, so a failed write leaves none of them.
-    """
-    sidecars = {
-        "electrodes": (write_electrodes_csv, leadfield.electrodes),
-        "voxels": (write_voxels_csv, leadfield.voxels),
-    }
-    save_with_sidecars(path, leadfield.gain, sidecars)
+    """Write the geometry CSV sidecars, then the gain (PCF1), all or nothing."""
+    write_all([
+        (write_electrodes_csv, sidecar(path, "electrodes"), leadfield.electrodes),
+        (write_voxels_csv, sidecar(path, "voxels"), leadfield.voxels),
+        (write_pcf1, path, leadfield.gain),
+    ])
 
 
 def load_leadfield(path) -> LeadField:

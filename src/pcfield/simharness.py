@@ -30,6 +30,7 @@ from .forward import (
     electrode_seed_voxels,
     utf8_lines,
     voxel_under_electrode,
+    write_all,
     write_table,
 )
 from .spectra import EpochedRecording, band_cross_spectrum
@@ -386,29 +387,28 @@ def write_config(path, cfg: SimulationConfig) -> None:
 def write_report(report: ExperimentReport, directory, voxels) -> None:
     """Write all maps, the composites, a summary CSV, and the config echo.
 
-    Deterministic byte-for-byte: identical reports produce identical trees.
+    One :func:`~pcfield.forward.write_all`, so a failed write leaves none of
+    them. Deterministic byte-for-byte: identical reports give identical trees.
     """
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
+    writes = []
     for family, maps, composite in (
         ("classical_lagged", report.classical_maps, report.classical_composite),
         ("partial_lagged", report.partial_maps, report.partial_composite),
     ):
-        for entry in maps:
-            write_map_csv(base / f"{family}_seed_{entry.seed}.csv", entry, voxels)
-        write_map_csv(base / f"{family}_composite.csv", composite, voxels)
-    seed, snr, rank = report.config.seed, report.snr, report.effective_rank
-    write_table(
-        base / "summary.csv",
-        ["method", "seed", "localization_error", "snr", "effective_rank"],
-        [
-            ["classical_lagged", seed, report.classical_error, snr, rank],
-            ["partial_lagged", seed, report.partial_error, snr, rank],
-        ],
-    )
-    config_on_disk = report.config
-    if config_on_disk.source_voxels is None:
-        config_on_disk = replace(
-            config_on_disk, source_voxels=report.truth.source_voxels
-        )
-    write_config(base / "config.txt", config_on_disk)
+        for entry in [*maps, composite]:
+            name = "composite" if entry is composite else f"seed_{entry.seed}"
+            writes.append((write_map_csv, base / f"{family}_{name}.csv", entry, voxels))
+    config = replace(report.config, source_voxels=report.truth.source_voxels)
+    seed, snr, rank = config.seed, report.snr, report.effective_rank
+    header = ["method", "seed", "localization_error", "snr", "effective_rank"]
+    summary = [
+        ["classical_lagged", seed, report.classical_error, snr, rank],
+        ["partial_lagged", seed, report.partial_error, snr, rank],
+    ]
+    write_all([
+        *writes,
+        (write_table, base / "summary.csv", header, summary),
+        (write_config, base / "config.txt", config),
+    ])

@@ -517,6 +517,41 @@ class TestCompareCommand:
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("repeat", "repeated source voxel id {voxel}"),
+            ("unknown_id", "source 100000 "),
+            ("moved", "source {voxel} "),
+        ],
+        ids=["repeat", "unknown_id", "moved"],
+    )
+    def test_truth_sources_must_be_distinct_map_rows(
+        self, pipeline, tmp_path, capsys, edit, message
+    ):
+        # each map is checked against the truth, so a source the map does not
+        # hold at that id is refused before any score is written
+        lines = (pipeline["sim"] / "truth.csv").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("source,"))
+        role, voxel, x, y, z = lines[row].split(",")
+        if edit == "repeat":
+            lines.insert(row, lines[row])
+        elif edit == "unknown_id":
+            lines[row] = ",".join([role, "100000", x, y, z])
+        else:
+            lines[row] = ",".join([role, voxel, repr(float(x) + 0.5), y, z])
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s.csv"
+        code = run_cli(
+            "compare", "--maps", pipeline["maps"]["partial"], "--truth", truth,
+            "--out", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "truth.csv" in err and message.format(voxel=voxel) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "manifest",
         ["key,value\nmethod,partial\n", "key,value\nmethod,partial\nmeasure\n"],
         ids=["missing_measure", "malformed_row"],
@@ -650,6 +685,36 @@ def test_failed_primary_write_leaves_no_sidecars(pipeline, tmp_path, command):
     assert run_cli(*argv, "--out", blocked) == 73
     assert [path.name for path in tmp_path.iterdir()] == ["out"]
     assert list(blocked.iterdir()) == []
+
+
+@pytest.mark.parametrize("blocked", ["last-seed", "manifest.csv"])
+@pytest.mark.parametrize("method", ["partial", "classical"])
+def test_failed_connect_write_leaves_only_the_blocking_entry(
+    pipeline, tmp_path, method, blocked
+):
+    # a later output is a directory, so its write fails after the earlier
+    # maps were written; they are removed again
+    if blocked == "last-seed":
+        manifest = (pipeline["maps"][method] / "manifest.csv").read_text()
+        blocked = f"seed_{manifest.rsplit(',', 1)[1].split()[-1]}.csv"
+    out = tmp_path / "maps"
+    (out / blocked).mkdir(parents=True)
+    code = run_cli(
+        "connect", "--leadfield", pipeline["lf"], "--xspec", pipeline["xspec"],
+        "--method", method, "--measure", "lagged", "--out", out,
+    )
+    assert code == 73
+    assert [path.name for path in out.iterdir()] == [blocked]
+
+
+@pytest.mark.parametrize("blocked", ["truth.csv", "config.txt"])
+def test_failed_simulate_write_leaves_only_the_blocking_entry(
+    pipeline, tmp_path, blocked
+):
+    out = tmp_path / "sim"
+    (out / blocked).mkdir(parents=True)
+    assert run_cli("simulate", "--leadfield", pipeline["lf"], "--out", out) == 73
+    assert [path.name for path in out.iterdir()] == [blocked]
 
 
 def test_missing_input_inside_out_directory_is_missing_input(tmp_path):

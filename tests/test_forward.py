@@ -621,8 +621,8 @@ ROW_ORDER_READERS = {
     "truth": (
         "role,voxel_id,x,y,z\nsource,0,0.0,0.0,0.0\nbio,1,0.5,0.0,0.0\n"
         "source,2,0.0,0.5,0.0\n",
-        lambda path: truth_score(_read_truth_sources(path)),
-        {"reversed": "same", "duplicated": "same"},
+        lambda path: truth_score(_read_truth_sources(path)[1]),
+        {"reversed": "same", "duplicated": "reject"},
     ),
     "epochs": (
         "epoch,t,Fp1,O2\n1,1,0.5,0.25\n1,2,0.125,0.0\n2,1,0.0,1.0\n2,2,1.0,0.5\n",

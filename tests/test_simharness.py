@@ -429,6 +429,15 @@ class TestRunExperiment:
         echoed = parse_config(tmp_path / "config.txt")
         assert echoed.source_voxels == report.truth.source_voxels
 
+    def test_failed_write_report_leaves_only_the_blocking_entry(
+        self, tmp_path, report, default_leadfield
+    ):
+        # summary.csv is written after all 40 maps; they are removed again
+        (tmp_path / "summary.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_report(report, tmp_path, default_leadfield.voxels)
+        assert [path.name for path in tmp_path.iterdir()] == ["summary.csv"]
+
 
 class TestSourceSeparation:
     def test_true_pair_separates_from_inactive_pairs(self, default_leadfield):
