@@ -345,6 +345,8 @@ class LeadField:
 
     Construction applies the rule every lead-field argument meets: 2-d,
     finite, and full row rank (smallest singular value > ``RANK_TOL`` x largest).
+    A Cholesky factor of ``K K'`` settles a well-conditioned gain without an
+    SVD; any other gain gets the SVD, which decides and words each refusal.
     """
 
     gain: np.ndarray
@@ -396,13 +398,18 @@ def synth_leadfield(electrodes: ElectrodeArray, voxels: VoxelGrid) -> LeadField:
             f"need at least as many voxels ({len(voxels)}) as electrodes "
             f"({len(electrodes)})"
         )
-    # Row by row, so no (electrodes, voxels, 3) difference tensor is formed.
-    distances = np.stack(
-        [np.linalg.norm(voxels.positions - p, axis=1) for p in electrodes.positions]
-    )
+    # Row by row over contiguous coordinate columns, so no (electrodes,
+    # voxels, 3) tensor is formed. np.linalg.norm sums the three squares in
+    # this order, so each row has the bits of norm(positions - p, axis=1).
+    x, y, z = np.ascontiguousarray(voxels.positions.T)
+    distances = np.empty((len(electrodes), len(voxels)))
+    for row, (ex, ey, ez) in zip(distances, electrodes.positions.tolist()):
+        dx, dy, dz = x - ex, y - ey, z - ez
+        np.sqrt(dx * dx + dy * dy + dz * dz, out=row)
     if np.any(distances == 0.0):
         raise ValidationError("a voxel coincides with an electrode")
-    return LeadField(gain=1.0 / distances, electrodes=electrodes, voxels=voxels)
+    gain = np.divide(1.0, distances, out=distances)
+    return LeadField(gain=gain, electrodes=electrodes, voxels=voxels)
 
 
 def voxel_under_electrode(leadfield: LeadField, label: str) -> int:
@@ -451,6 +458,8 @@ def _full_rank_gain(leadfield) -> np.ndarray:
         raise DimensionError("gain must be a nonempty 2-d matrix")
     if not np.all(np.isfinite(gain)):
         raise ValidationError("gain matrix contains non-finite entries")
+    if _gram_screen_passes(gain):
+        return gain
     singular_values = np.linalg.svd(gain, compute_uv=False)
     if singular_values[-1] <= RANK_TOL * singular_values[0]:
         raise SingularMatrixError(
@@ -460,6 +469,36 @@ def _full_rank_gain(leadfield) -> np.ndarray:
             "electrode layout"
         )
     return gain
+
+
+def _gram_screen_passes(gain: np.ndarray) -> bool:
+    """True when a Cholesky factor of ``G = K K'`` proves ``K`` full row rank.
+
+    False settles nothing; the SVD in :func:`_full_rank_gain` then decides.
+    """
+    rows, cols = gain.shape
+    if rows > cols:
+        return False  # a tall K is never full row rank; the SVD keeps its rule
+    # trace(G) >= lambda_max(G) = sigma_max^2, and for rows <= cols the
+    # rounding of the product and of the factorisation stays below about
+    # 1.5 * rows * cols * eps * trace(G). So a factor of G - c * trace(G) * I,
+    # c = 2 * rows * cols * eps, proves sigma_min^2 > rows * cols * eps *
+    # trace(G) / 2: sigma_min / sigma_max > sqrt(rows * cols * eps / 2),
+    # at least 1e-8, far above RANK_TOL. An overflow anywhere in G makes its
+    # trace infinite, and a shift below the smallest normal float would lose
+    # the margin to underflow, so neither reaches the factorisation. A
+    # Cholesky that meets a NaN may return it instead of raising.
+    with np.errstate(all="ignore"):
+        gram = gain @ gain.T
+        shift = 2 * rows * cols * np.finfo(np.float64).eps * np.trace(gram)
+        if not np.finfo(np.float64).tiny <= shift < np.inf:
+            return False
+        gram[np.diag_indices(rows)] -= shift
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.all(np.isfinite(factor)))
 
 
 def _inverse_matrix(inverse, gain: np.ndarray | None = None) -> np.ndarray:

@@ -186,6 +186,33 @@ class TestSynthLeadField:
         expected = 1.0 / np.linalg.norm(deltas, axis=2)
         assert synth_leadfield(montage, grid).gain.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_bits_match_per_row_norm_on_non_contiguous_positions(self, layout):
+        rng = np.random.default_rng(17)
+        directions = rng.standard_normal((16, 3))
+        electrodes = ElectrodeArray(
+            labels=tuple(f"E{k}" for k in range(16)),
+            positions=directions / np.linalg.norm(directions, axis=1, keepdims=True),
+        )
+
+        def grid_of(points):
+            if layout == "fortran":
+                return VoxelGrid(positions=np.asfortranarray(points), spacing=0.1)
+            wide = np.zeros((len(points), 6))
+            wide[:, ::2] = points
+            return VoxelGrid(positions=wide[:, ::2], spacing=0.1)
+
+        points = rng.uniform(-0.8, 0.8, (500, 3))
+        grid = grid_of(points)
+        assert not grid.positions.flags.c_contiguous
+        expected = 1.0 / np.stack(
+            [np.linalg.norm(grid.positions - p, axis=1) for p in electrodes.positions]
+        )
+        assert np.array_equal(synth_leadfield(electrodes, grid).gain, expected)
+        points[7] = electrodes.positions[3]
+        with pytest.raises(ValidationError, match="coincides"):
+            synth_leadfield(electrodes, grid_of(points))
+
     def test_voxel_on_electrode_rejected(self, montage):
         voxels = VoxelGrid(
             positions=np.vstack([montage.positions[0], np.zeros(3)]), spacing=0.5
