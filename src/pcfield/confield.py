@@ -8,15 +8,19 @@ the lead field and the (pseudo-)inverted sensor cross-spectrum, which is
 the quantity whose off-diagonal structure survives common-source mixing.
 
 Everything is held in factored form. The implied voxel-by-voxel matrices
-``A A*`` and ``W W*`` are never materialized; seeded maps cost one
-matrix-vector product per seed.
+``A A*`` and ``W W*`` are never materialized. A seed's map is one
+normalized column of ``K' S+ K`` (partial) or ``T S T'`` (classical), read
+from the real operand ``K`` or ``T'`` rather than the complex thin factor:
+an electrode-sized complex vector, then one real product over the operand,
+which is half the bytes of the factor.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .forward import (
+    LeadField,
     VoxelGrid,
     _full_rank_gain,
     _integer,
@@ -71,6 +76,52 @@ MEASURES = ("classical_coh", "classical_lagged", "partial_coh", "partial_lagged"
 
 
 @dataclass(frozen=True)
+class _SeedRows:
+    """Seed rows ``scale * scale[s] * (q @ R)`` of a field ``R' M M* R``.
+
+    Built from ``K`` or ``T``, ``operand`` ``R`` is real and C-contiguous
+    (electrodes x voxels), ``mixer`` ``M`` is a range factor of ``S`` and
+    ``q = M (M* R[:, s])``, so neither ``S+`` nor ``S`` is formed. ``q @ R``
+    is one real product ``[Re q; Im q] @ R``; ``R`` is never cast to
+    complex. Without a mixer, ``operand`` is a thin factor's transpose
+    ``W'`` (or ``A'``) and the row is ``W @ conj(W[s])``. ``scale=None`` is
+    unit scale.
+    """
+
+    operand: np.ndarray
+    mixer: np.ndarray | None = None
+    scale: np.ndarray | None = None
+
+    def __call__(self, seed: int) -> np.ndarray:
+        if self.mixer is None:
+            row = self.operand.T @ np.conj(self.operand[:, seed])
+            if self.scale is not None:
+                row *= self.scale * self.scale[seed]
+            return row
+        mixed = self.mixer @ np.conj(self.operand[:, seed] @ self.mixer)
+        mixed *= self.scale[seed]
+        parts = _pairs(mixed).T @ self.operand
+        row = np.empty(parts.shape[1], dtype=np.complex128)
+        np.multiply(parts, self.scale, out=_pairs(row).T)
+        return row
+
+
+def _pairs(vector: np.ndarray) -> np.ndarray:
+    """A complex vector's (re, im) pairs as an (n, 2) real view."""
+    return vector.view(np.float64).reshape(-1, 2)
+
+
+def _reciprocal_sqrt(variances: np.ndarray) -> np.ndarray:
+    """``1 / sqrt(variances)``, and 0 where a variance is not positive.
+
+    A dead voxel's 0 is never read: :func:`seeded_map` refuses its field.
+    """
+    live = variances > 0.0
+    scale = np.sqrt(variances, out=np.zeros_like(variances), where=live)
+    return np.divide(1.0, scale, out=scale, where=live)
+
+
+@dataclass(frozen=True)
 class ConnectivityFactor:
     """Low-rank square root ``W`` of the partial coherence field.
 
@@ -78,7 +129,9 @@ class ConnectivityFactor:
     has unit norm by construction. ``effective_rank`` is the rank of the
     sensor cross-spectrum the factor was built from and the column count
     of ``W``; ``fingerprint`` ties the factor to the gain matrix it
-    belongs to.
+    belongs to. :func:`partial_field` also hands over how to read seed
+    rows from the gain (``_rows``); a factor built or loaded without it
+    reads them from ``W``.
     """
 
     W: np.ndarray  # (n_voxels, effective_rank) complex
@@ -86,8 +139,9 @@ class ConnectivityFactor:
     band: tuple[float, float]
     fingerprint: str
     effective_rank: int
+    _rows: InitVar[_SeedRows | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _rows):
         matrix = np.asarray(self.W, dtype=np.complex128)
         if matrix.ndim != 2:
             raise DimensionError("factor must be a 2-d matrix")
@@ -107,6 +161,7 @@ class ConnectivityFactor:
         matrix.setflags(write=False)
         object.__setattr__(self, "W", matrix)
         object.__setattr__(self, "band", (float(self.band[0]), float(self.band[1])))
+        object.__setattr__(self, "_rows", _rows or _SeedRows(matrix.T))
 
     @property
     def n_voxels(self) -> int:
@@ -120,12 +175,15 @@ class ClassicalField:
     ``diag`` holds the per-voxel source variances, which must match the
     squared row norms of ``A`` to ``1e-10`` of the largest one. A voxel with
     exactly zero variance is dead: it cannot appear in any coherence query.
+    :func:`classical_field` also hands over how to read seed rows from
+    ``T'`` (``_rows``); a field built without it reads them from ``A``.
     """
 
     A: np.ndarray  # (n_voxels, rank) complex
     diag: np.ndarray  # (n_voxels,) real
+    _rows: InitVar[_SeedRows | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _rows):
         factor = np.asarray(self.A, dtype=np.complex128)
         variances = np.asarray(self.diag, dtype=np.float64)
         if factor.ndim != 2:
@@ -139,15 +197,19 @@ class ClassicalField:
         variances.setflags(write=False)
         object.__setattr__(self, "A", factor)
         object.__setattr__(self, "diag", variances)
+        rows = _rows or _SeedRows(factor.T, scale=_reciprocal_sqrt(variances))
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def n_voxels(self) -> int:
         return self.A.shape[0]
 
-    @property
+    @cached_property
     def dead_voxels(self) -> np.ndarray:
         """Indices with zero source variance (excluded from coherence)."""
-        return np.flatnonzero(self.diag == 0.0)
+        dead = np.flatnonzero(self.diag == 0.0)
+        dead.setflags(write=False)
+        return dead
 
 
 @dataclass(frozen=True)
@@ -244,13 +306,16 @@ def classical_field(inverse, spectrum) -> ClassicalField:
 
     The implied covariance is ``S_J = T S T' = A A*``; it is never formed.
     Entry (k, l) is recoverable as ``row_k(A) . conj(row_l(A))``. ``T``
-    must be finite.
+    must be finite; an array is copied, so a later write to it moves no map.
+    Seed rows read ``T'`` and ``Gamma+ Lambda+^(1/2)``, not ``A``.
     """
     matrix = _inverse_matrix(inverse)
     spectrum = _as_spectrum(spectrum, matrix.shape[1])
-    factor = _real_times_complex(matrix, spectrum.decomposition.range_factor(0.5))
+    root = spectrum.decomposition.range_factor(0.5)
+    factor = _real_times_complex(matrix, root)
     variances = np.sum(np.abs(factor) ** 2, axis=1)
-    return ClassicalField(A=factor, diag=variances)
+    rows = _SeedRows(np.ascontiguousarray(matrix.T), root, _reciprocal_sqrt(variances))
+    return ClassicalField(A=factor, diag=variances, _rows=rows)
 
 
 def classical_coherence(field: ClassicalField, k: int, l: int) -> complex:
@@ -284,11 +349,15 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
     root ``U``: the two factors differ by the rotation ``Gamma+*``.
 
     No explicit inverse operator participates: the result is a function of
-    the gain matrix and the cross-spectrum only. A NaN gain is refused.
+    the gain matrix and the cross-spectrum only. A NaN gain is refused; an
+    array gain is copied and hashed, a LeadField's is read as it is and
+    hashed once per lead field. Seed rows read the gain and the whitener,
+    not ``W``.
     """
     gain = _full_rank_gain(leadfield)
     spectrum = _as_spectrum(spectrum, gain.shape[0])
-    pulled_back = _real_times_complex(gain.T, spectrum.decomposition.range_factor(-0.5))
+    whitener = spectrum.decomposition.range_factor(-0.5)
+    pulled_back = _real_times_complex(gain.T, whitener)
     row_norms = np.linalg.norm(pulled_back, axis=1)
     largest = float(np.max(row_norms))
     dead = row_norms <= ZERO_ROW_RTOL * largest
@@ -299,12 +368,17 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
             "cross-spectrum (zero factor row)"
         )
     pulled_back /= row_norms[:, None]
+    if isinstance(leadfield, LeadField):
+        fingerprint = leadfield.fingerprint()
+    else:
+        fingerprint = gain_fingerprint(gain)
     return ConnectivityFactor(
         W=pulled_back,
         method="partial",
         band=spectrum.band or (spectrum.frequency, spectrum.frequency),
-        fingerprint=gain_fingerprint(gain),
+        fingerprint=fingerprint,
         effective_rank=spectrum.decomposition.rank,
+        _rows=_SeedRows(gain, whitener, 1.0 / row_norms),
     )
 
 
@@ -373,10 +447,16 @@ def lagged_measure(r):
 def seeded_map(source, seed: int, measure: str) -> SeededMap:
     """Whole-grid connectivity of one seed voxel under the given measure.
 
-    Computes a single row of the implied field, never the full matrix:
-    ``W @ conj(W[seed])`` for a partial factor, or ``A @ conj(A[seed])``
-    over ``sqrt(diag * diag[seed])`` for a classical field. The seed must
-    be an integer voxel index below the voxel count (else a ValidationError
+    Computes a single row of the implied field, never the full matrix: the
+    seed's normalized column of ``K' S+ K`` for a partial factor, or of
+    ``T S T'`` for a classical field. It is read from the real operand
+    (``K`` or ``T'``) as ``q = M (M* R[:, seed])`` followed by one real
+    product ``[Re q; Im q] @ R``, where ``M`` is ``Gamma+ Lambda+^(-1/2)``
+    or ``Gamma+ Lambda+^(1/2)``; that equals ``W @ conj(W[seed])`` (or
+    ``A @ conj(A[seed])`` over ``sqrt(diag * diag[seed])``) to rounding, and
+    moves half the bytes. A factor loaded from disk or built directly has
+    no operand, and reads the row from ``W`` (``A``). The seed must be an
+    integer voxel index below the voxel count (else a ValidationError
     names it). Coherence tags report magnitudes (seed entry exactly 1);
     lagged tags zero the row's seed entry before :func:`lagged_measure`,
     which maps it to exactly 0 (no self-lag).
@@ -389,17 +469,13 @@ def seeded_map(source, seed: int, measure: str) -> SeededMap:
             f"{type(source).__name__}"
         )
     seed = _voxel_index(seed, source.n_voxels, "seed")
-    if expected is ConnectivityFactor:
-        row = source.W @ np.conj(source.W[seed])
-    else:
+    if expected is ClassicalField and source.dead_voxels.size:
         dead = source.dead_voxels
-        if dead.size:
-            raise ValidationError(
-                f"{dead.size} voxel(s) have zero source variance "
-                f"(first: {int(dead[0])}); classical coherence is undefined"
-            )
-        row = source.A @ np.conj(source.A[seed])
-        row = row / np.sqrt(source.diag * source.diag[seed])
+        raise ValidationError(
+            f"{dead.size} voxel(s) have zero source variance "
+            f"(first: {int(dead[0])}); classical coherence is undefined"
+        )
+    row = source._rows(seed)
     if measure.endswith("_coh"):
         values = np.abs(row)
         values[seed] = 1.0

@@ -38,7 +38,7 @@ import math
 import operator
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -72,13 +72,13 @@ _PCF1_COMPLEX = 1
 
 @dataclass(frozen=True)
 class ElectrodeArray:
-    """Named scalp electrodes on the unit sphere."""
+    """Named scalp electrodes on the unit sphere; ``positions`` is a read-only copy."""
 
     labels: tuple[str, ...]
     positions: np.ndarray  # (n_electrodes, 3), unit norm
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=np.float64)
+        positions = np.array(self.positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise DimensionError("electrode positions must be (n, 3)")
         if positions.shape[0] == 0:
@@ -106,13 +106,18 @@ class ElectrodeArray:
 
 @dataclass(frozen=True)
 class VoxelGrid:
-    """Source positions, with the characteristic spacing used for metrics."""
+    """Source positions, with the characteristic spacing used for metrics.
+
+    ``positions`` is a read-only column-major copy: a write to the caller's
+    array moves neither the grid nor its cached :attr:`row_text`, and each
+    coordinate is one contiguous column, as :func:`synth_leadfield` reads it.
+    """
 
     positions: np.ndarray  # (n_voxels, 3)
     spacing: float
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=np.float64)
+        positions = np.array(self.positions, dtype=np.float64, order="F")
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise DimensionError("voxel positions must be (n, 3)")
         if positions.shape[0] == 0:
@@ -347,20 +352,24 @@ class LeadField:
     finite, and full row rank (smallest singular value > ``RANK_TOL`` x largest).
     A Cholesky factor of ``K K'`` settles a well-conditioned gain without an
     SVD; any other gain gets the SVD, which decides and words each refusal.
+    ``gain`` is a read-only C-ordered copy of the array given, so its
+    fingerprint is hashed once and seed rows may read it for the life of
+    the object. :func:`synth_leadfield` and :func:`load_leadfield` hand
+    over the array they just made (``_fresh``), which is frozen in place.
     """
 
     gain: np.ndarray
     electrodes: ElectrodeArray
     voxels: VoxelGrid
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        gain = _full_rank_gain(self.gain)
+    def __post_init__(self, _fresh):
+        gain = _full_rank_gain(self.gain, copy=not _fresh)
         if gain.shape != (len(self.electrodes), len(self.voxels)):
             raise DimensionError(
                 f"gain shape {gain.shape} does not match geometry "
                 f"({len(self.electrodes)} electrodes, {len(self.voxels)} voxels)"
             )
-        gain.setflags(write=False)
         object.__setattr__(self, "gain", gain)
 
     @property
@@ -372,7 +381,11 @@ class LeadField:
         return self.gain.shape[1]
 
     def fingerprint(self) -> str:
-        """Stable content hash of the gain matrix (hex digest)."""
+        """Stable content hash of the gain matrix (hex digest), hashed once."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         return gain_fingerprint(self.gain)
 
 
@@ -398,10 +411,11 @@ def synth_leadfield(electrodes: ElectrodeArray, voxels: VoxelGrid) -> LeadField:
             f"need at least as many voxels ({len(voxels)}) as electrodes "
             f"({len(electrodes)})"
         )
-    # Row by row over contiguous coordinate columns, so no (electrodes,
-    # voxels, 3) tensor is formed. np.linalg.norm sums the three squares in
-    # this order, so each row has the bits of norm(positions - p, axis=1).
-    x, y, z = np.ascontiguousarray(voxels.positions.T)
+    # Row by row over the grid's contiguous coordinate columns, so no
+    # (electrodes, voxels, 3) tensor is formed. np.linalg.norm sums the three
+    # squares in this order, so each row has the bits of
+    # norm(positions - p, axis=1).
+    x, y, z = voxels.positions.T
     distances = np.empty((len(electrodes), len(voxels)))
     for row, (ex, ey, ez) in zip(distances, electrodes.positions.tolist()):
         dx, dy, dz = x - ex, y - ey, z - ez
@@ -409,7 +423,7 @@ def synth_leadfield(electrodes: ElectrodeArray, voxels: VoxelGrid) -> LeadField:
     if np.any(distances == 0.0):
         raise ValidationError("a voxel coincides with an electrode")
     gain = np.divide(1.0, distances, out=distances)
-    return LeadField(gain=gain, electrodes=electrodes, voxels=voxels)
+    return LeadField(gain=gain, electrodes=electrodes, voxels=voxels, _fresh=True)
 
 
 def voxel_under_electrode(leadfield: LeadField, label: str) -> int:
@@ -429,14 +443,21 @@ def electrode_seed_voxels(leadfield: LeadField) -> list[int]:
 
 @dataclass(frozen=True)
 class InverseOperator:
-    """Linear inverse ``T`` (voxels x electrodes), 2-d and finite."""
+    """Linear inverse ``T`` (voxels x electrodes), 2-d and finite.
+
+    ``matrix`` is a read-only copy in the memory order it was given in, so
+    a Fortran-ordered ``T`` keeps ``T'`` a C-contiguous view. The builders
+    below hand over the array they just solved for (``_fresh``), which no
+    caller holds, so it is frozen in place rather than copied.
+    """
 
     matrix: np.ndarray
     kind: str
     weights: np.ndarray | None = field(default=None)
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        matrix = _inverse_matrix(self.matrix)
+    def __post_init__(self, _fresh):
+        matrix = self.matrix if _fresh else _inverse_matrix(self.matrix)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
@@ -449,11 +470,17 @@ def _integer(name: str, value) -> int:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _full_rank_gain(leadfield) -> np.ndarray:
-    """The gain of a LeadField, or an array checked as LeadField checks it."""
+def _full_rank_gain(leadfield, copy: bool = True) -> np.ndarray:
+    """The gain of a LeadField, or an array checked as LeadField checks it.
+
+    An array is copied (C order, read-only), so the result never shares
+    memory with the caller's buffer; ``copy=False`` skips the copy for an
+    array no caller holds.
+    """
     if isinstance(leadfield, LeadField):
         return leadfield.gain
-    gain = np.asarray(leadfield, dtype=np.float64)
+    gain = np.array(leadfield, dtype=np.float64, order="C", copy=True if copy else None)
+    gain.setflags(write=False)
     if gain.ndim != 2 or gain.size == 0:
         raise DimensionError("gain must be a nonempty 2-d matrix")
     if not np.all(np.isfinite(gain)):
@@ -502,11 +529,16 @@ def _gram_screen_passes(gain: np.ndarray) -> bool:
 
 
 def _inverse_matrix(inverse, gain: np.ndarray | None = None) -> np.ndarray:
-    """``T`` of an InverseOperator or a finite 2-d array, shaped to ``gain`` if given."""
+    """``T`` of an InverseOperator or a finite 2-d array, shaped to ``gain`` if given.
+
+    An array is copied in its own memory order and made read-only, so the
+    result never shares memory with the caller's buffer.
+    """
     if isinstance(inverse, InverseOperator):
         matrix = inverse.matrix
     else:
-        matrix = np.asarray(inverse, dtype=np.float64)
+        matrix = np.array(inverse, dtype=np.float64)
+        matrix.setflags(write=False)
         if matrix.ndim != 2:
             raise DimensionError("inverse operator must be a 2-d matrix")
         if not np.all(np.isfinite(matrix)):
@@ -547,13 +579,13 @@ def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
 def min_norm_inverse(leadfield) -> InverseOperator:
     """Minimum-norm inverse ``T = K' (K K')^(-1)``."""
     gain = _full_rank_gain(leadfield)
-    return InverseOperator(matrix=_right_inverse(gain, gain), kind="minimum_norm")
+    return InverseOperator(matrix=_right_inverse(gain, gain), kind="minimum_norm", _fresh=True)
 
 
 def weighted_inverse(leadfield, weights) -> InverseOperator:
     """Weighted inverse ``T = W K' (K W K')^(-1)`` for positive diagonal W."""
     gain = _full_rank_gain(leadfield)
-    weight_vector = np.asarray(weights, dtype=np.float64).reshape(-1)
+    weight_vector = np.array(weights, dtype=np.float64).reshape(-1)
     if weight_vector.shape[0] != gain.shape[1]:
         raise DimensionError(
             f"got {weight_vector.shape[0]} weights for {gain.shape[1]} voxels"
@@ -561,7 +593,7 @@ def weighted_inverse(leadfield, weights) -> InverseOperator:
     if np.any(weight_vector <= 0) or not np.all(np.isfinite(weight_vector)):
         raise ValidationError("weights must be finite and strictly positive")
     matrix = _right_inverse(gain, gain * weight_vector[None, :])
-    return InverseOperator(matrix=matrix, kind="weighted", weights=weight_vector)
+    return InverseOperator(matrix=matrix, kind="weighted", weights=weight_vector, _fresh=True)
 
 
 def forward_project(leadfield, sources) -> np.ndarray:
@@ -868,4 +900,4 @@ def load_leadfield(path) -> LeadField:
         raise FormatError(f"{path}: lead field must be real, found complex dtype")
     electrodes = read_electrodes_csv(sidecar(path, "electrodes"))
     voxels = read_voxels_csv(sidecar(path, "voxels"))
-    return LeadField(gain=gain, electrodes=electrodes, voxels=voxels)
+    return LeadField(gain=gain, electrodes=electrodes, voxels=voxels, _fresh=True)

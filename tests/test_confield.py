@@ -405,12 +405,12 @@ class TestMaxOverSeeds:
 
 
 def two_step_seed_values(source, seed, measure):
-    """Seed-map values as a row helper plus a masking step computed them."""
-    if isinstance(source, ConnectivityFactor):
-        row = source.W @ np.conj(source.W[seed])
-    else:
-        row = source.A @ np.conj(source.A[seed])
-        row = row / np.sqrt(source.diag * source.diag[seed])
+    """Seed-map values as the field's row kernel plus a masking step computed them.
+
+    The kernel's rows match the thin-factor rows to rounding, not to the
+    bit; test_seed_rows.py holds them to that.
+    """
+    row = source._rows(seed)
     if measure.endswith("_coh"):
         values = np.abs(row)
         values[seed] = 1.0
