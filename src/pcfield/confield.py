@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -121,6 +121,12 @@ def _reciprocal_sqrt(variances: np.ndarray) -> np.ndarray:
     return np.divide(1.0, scale, out=scale, where=live)
 
 
+def _reading(source, rows: _SeedRows):
+    """``source``, a field just built from ``rows``' operand, reading its rows there."""
+    object.__setattr__(source, "_rows", rows)
+    return source
+
+
 @dataclass(frozen=True)
 class ConnectivityFactor:
     """Low-rank square root ``W`` of the partial coherence field.
@@ -129,9 +135,10 @@ class ConnectivityFactor:
     has unit norm by construction. ``effective_rank`` is the rank of the
     sensor cross-spectrum the factor was built from and the column count
     of ``W``; ``fingerprint`` ties the factor to the gain matrix it
-    belongs to. :func:`partial_field` also hands over how to read seed
-    rows from the gain (``_rows``); a factor built or loaded without it
-    reads them from ``W``.
+    belongs to. A factor reads its seed rows from ``W``, except that
+    :func:`partial_field` points ``_rows`` at the gain it built ``W``
+    from; ``dataclasses.replace`` drops that, so a copy with a new ``W``
+    reads its own.
     """
 
     W: np.ndarray  # (n_voxels, effective_rank) complex
@@ -139,9 +146,9 @@ class ConnectivityFactor:
     band: tuple[float, float]
     fingerprint: str
     effective_rank: int
-    _rows: InitVar[_SeedRows | None] = None
+    _rows: _SeedRows = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _rows):
+    def __post_init__(self):
         matrix = np.asarray(self.W, dtype=np.complex128)
         if matrix.ndim != 2:
             raise DimensionError("factor must be a 2-d matrix")
@@ -161,7 +168,7 @@ class ConnectivityFactor:
         matrix.setflags(write=False)
         object.__setattr__(self, "W", matrix)
         object.__setattr__(self, "band", (float(self.band[0]), float(self.band[1])))
-        object.__setattr__(self, "_rows", _rows or _SeedRows(matrix.T))
+        object.__setattr__(self, "_rows", _SeedRows(matrix.T))
 
     @property
     def n_voxels(self) -> int:
@@ -175,15 +182,17 @@ class ClassicalField:
     ``diag`` holds the per-voxel source variances, which must match the
     squared row norms of ``A`` to ``1e-10`` of the largest one. A voxel with
     exactly zero variance is dead: it cannot appear in any coherence query.
-    :func:`classical_field` also hands over how to read seed rows from
-    ``T'`` (``_rows``); a field built without it reads them from ``A``.
+    A field reads its seed rows from ``A``, except that
+    :func:`classical_field` points ``_rows`` at the ``T'`` it built ``A``
+    from; ``dataclasses.replace`` drops that, so a copy with a new ``A``
+    reads its own.
     """
 
     A: np.ndarray  # (n_voxels, rank) complex
     diag: np.ndarray  # (n_voxels,) real
-    _rows: InitVar[_SeedRows | None] = None
+    _rows: _SeedRows = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _rows):
+    def __post_init__(self):
         factor = np.asarray(self.A, dtype=np.complex128)
         variances = np.asarray(self.diag, dtype=np.float64)
         if factor.ndim != 2:
@@ -197,7 +206,7 @@ class ClassicalField:
         variances.setflags(write=False)
         object.__setattr__(self, "A", factor)
         object.__setattr__(self, "diag", variances)
-        rows = _rows or _SeedRows(factor.T, scale=_reciprocal_sqrt(variances))
+        rows = _SeedRows(factor.T, scale=_reciprocal_sqrt(variances))
         object.__setattr__(self, "_rows", rows)
 
     @property
@@ -314,8 +323,9 @@ def classical_field(inverse, spectrum) -> ClassicalField:
     root = spectrum.decomposition.range_factor(0.5)
     factor = _real_times_complex(matrix, root)
     variances = np.sum(np.abs(factor) ** 2, axis=1)
-    rows = _SeedRows(np.ascontiguousarray(matrix.T), root, _reciprocal_sqrt(variances))
-    return ClassicalField(A=factor, diag=variances, _rows=rows)
+    built = ClassicalField(A=factor, diag=variances)
+    operand = np.ascontiguousarray(matrix.T)
+    return _reading(built, _SeedRows(operand, root, built._rows.scale))
 
 
 def classical_coherence(field: ClassicalField, k: int, l: int) -> complex:
@@ -372,14 +382,14 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
         fingerprint = leadfield.fingerprint()
     else:
         fingerprint = gain_fingerprint(gain)
-    return ConnectivityFactor(
+    factor = ConnectivityFactor(
         W=pulled_back,
         method="partial",
         band=spectrum.band or (spectrum.frequency, spectrum.frequency),
         fingerprint=fingerprint,
         effective_rank=spectrum.decomposition.rank,
-        _rows=_SeedRows(gain, whitener, 1.0 / row_norms),
     )
+    return _reading(factor, _SeedRows(gain, whitener, 1.0 / row_norms))
 
 
 def pairwise_partial(leadfield, spectrum, k: int, l: int) -> complex:

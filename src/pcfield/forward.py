@@ -448,7 +448,7 @@ class InverseOperator:
     ``matrix`` is a read-only copy in the memory order it was given in, so
     a Fortran-ordered ``T`` keeps ``T'`` a C-contiguous view. The builders
     below hand over the array they just solved for (``_fresh``), which no
-    caller holds, so it is frozen in place rather than copied.
+    caller holds, so it is checked and frozen in place rather than copied.
     """
 
     matrix: np.ndarray
@@ -457,8 +457,7 @@ class InverseOperator:
     _fresh: InitVar[bool] = False
 
     def __post_init__(self, _fresh):
-        matrix = self.matrix if _fresh else _inverse_matrix(self.matrix)
-        matrix.setflags(write=False)
+        matrix = _inverse_matrix(self.matrix, copy=not _fresh)
         object.__setattr__(self, "matrix", matrix)
 
 
@@ -528,16 +527,19 @@ def _gram_screen_passes(gain: np.ndarray) -> bool:
         return bool(np.all(np.isfinite(factor)))
 
 
-def _inverse_matrix(inverse, gain: np.ndarray | None = None) -> np.ndarray:
+def _inverse_matrix(
+    inverse, gain: np.ndarray | None = None, copy: bool = True
+) -> np.ndarray:
     """``T`` of an InverseOperator or a finite 2-d array, shaped to ``gain`` if given.
 
     An array is copied in its own memory order and made read-only, so the
-    result never shares memory with the caller's buffer.
+    result never shares memory with the caller's buffer; ``copy=False``
+    skips the copy for an array no caller holds.
     """
     if isinstance(inverse, InverseOperator):
         matrix = inverse.matrix
     else:
-        matrix = np.array(inverse, dtype=np.float64)
+        matrix = np.array(inverse, dtype=np.float64, copy=True if copy else None)
         matrix.setflags(write=False)
         if matrix.ndim != 2:
             raise DimensionError("inverse operator must be a 2-d matrix")

@@ -323,6 +323,9 @@ def instance():
     return {
         "classical": classical_field(inverse, spectrum),
         "partial": partial_field(gain, spectrum),
+        "gain": gain,
+        "spectrum": spectrum,
+        "inverse": inverse,
     }
 
 
@@ -404,13 +407,34 @@ class TestMaxOverSeeds:
             max_over_seeds([])
 
 
-def two_step_seed_values(source, seed, measure):
-    """Seed-map values as the field's row kernel plus a masking step computed them.
+def operand_seed_row(instance, kind, seed):
+    """The seed's normalized column of ``K' S+ K`` or ``T S T'``, from the inputs.
 
-    The kernel's rows match the thin-factor rows to rounding, not to the
-    bit; test_seed_rows.py holds them to that.
+    Each step is spelled out here, in the order the field's kernel takes
+    it: ``q = M (M* R[:, s])`` scaled by the seed's weight, then the real
+    product ``[Re q; Im q] @ R`` scaled per voxel.
     """
-    row = source._rows(seed)
+    decomposition = CrossSpectrum(
+        matrix=instance["spectrum"], frequency=np.nan, n_epochs=1
+    ).decomposition
+    if kind == "partial":
+        operand = instance["gain"]
+        mixer = decomposition.range_factor(-0.5)
+        scale = 1.0 / np.linalg.norm(operand.T @ mixer, axis=1)
+    else:
+        operand = np.ascontiguousarray(instance["inverse"].matrix.T)
+        mixer = decomposition.range_factor(0.5)
+        scale = 1.0 / np.sqrt(np.sum(np.abs(operand.T @ mixer) ** 2, axis=1))
+    mixed = mixer @ np.conj(operand[:, seed] @ mixer) * scale[seed]
+    parts = np.stack([mixed.real, mixed.imag]) @ operand
+    row = np.empty(operand.shape[1], dtype=np.complex128)
+    row.real = parts[0] * scale
+    row.imag = parts[1] * scale
+    return row
+
+
+def two_step_seed_values(row, seed, measure):
+    """Seed-map values as a row helper plus a masking step computed them."""
     if measure.endswith("_coh"):
         values = np.abs(row)
         values[seed] = 1.0
@@ -439,9 +463,9 @@ class TestSeedMapBits:
     )
     @pytest.mark.parametrize("seed", [0, 7, 13])  # first, middle, last of 14
     def test_values_match_two_step_formulas(self, instance, measure, seed):
-        source = instance[measure.split("_")[0]]
-        mapped = seeded_map(source, seed, measure)
-        expected = two_step_seed_values(source, seed, measure)
+        kind = measure.split("_")[0]
+        mapped = seeded_map(instance[kind], seed, measure)
+        expected = two_step_seed_values(operand_seed_row(instance, kind, seed), seed, measure)
         assert mapped.values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("measure", ["partial_lagged", "classical_coh"])

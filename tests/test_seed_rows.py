@@ -9,6 +9,7 @@ after the field is built, the objects and fields must own what they read:
 writing to a caller's array afterwards must move nothing.
 """
 
+import dataclasses
 import tempfile
 import warnings
 from pathlib import Path
@@ -23,6 +24,7 @@ from pcfield import (
     ClassicalField,
     ConnectivityFactor,
     CrossSpectrum,
+    DimensionError,
     ElectrodeArray,
     InverseOperator,
     LeadField,
@@ -137,6 +139,59 @@ def test_reference_lead_field_maps_match_thin_factor_rows(measure):
         source = classical_field(min_norm_inverse(leadfield), spectrum)
     for voxel in rng.choice(leadfield.n_voxels, size=40, replace=False).tolist():
         assert_map_matches_row(source, voxel, measure, thin_factor_row(source, voxel))
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_a_field_without_an_operand_keeps_the_thin_factor_bits(measure):
+    rng = np.random.default_rng(13)
+    gain = random_gain(rng, 5, 14)
+    spectrum = random_pd(rng, 5)
+    if measure.startswith("partial"):
+        built = partial_field(gain, spectrum)
+        direct = dataclasses.replace(built)
+    else:
+        built = classical_field(min_norm_inverse(gain), spectrum)
+        direct = ClassicalField(A=built.A, diag=built.diag)
+    for voxel in (0, 6, 13):
+        if measure.startswith("partial"):
+            row = built.W @ np.conj(built.W[voxel])
+        else:
+            scale = 1.0 / np.sqrt(built.diag)
+            row = built.A @ np.conj(built.A[voxel]) * (scale * scale[voxel])
+        if measure.endswith("_coh"):
+            expected = np.abs(row)
+            expected[voxel] = 1.0
+        else:
+            row[voxel] = 0.0
+            expected = lagged_measure(row)
+        values = seeded_map(direct, voxel, measure).values
+        assert values.tobytes() == np.clip(expected, 0.0, 1.0).tobytes()
+
+
+@pytest.mark.parametrize("method", ["partial", "classical"])
+def test_replace_reads_the_rows_of_the_new_factor(method):
+    rng = np.random.default_rng(17)
+    gain = random_gain(rng, 5, 14)
+    first, second = random_pd(rng, 5), random_pd(rng, 5)
+    if method == "partial":
+        old, new = partial_field(gain, first), partial_field(gain, second)
+        swapped = dataclasses.replace(old, W=new.W)
+    else:
+        inverse = min_norm_inverse(gain)
+        old, new = classical_field(inverse, first), classical_field(inverse, second)
+        swapped = dataclasses.replace(old, A=new.A, diag=new.diag)
+    for measure in (f"{method}_coh", f"{method}_lagged"):
+        for voxel in (0, 6, 13):
+            ours = seeded_map(swapped, voxel, measure).values
+            assert np.allclose(ours, seeded_map(new, voxel, measure).values, rtol=0, atol=1e-12)
+            assert not np.allclose(ours, seeded_map(old, voxel, measure).values)
+
+
+@pytest.mark.parametrize("matrix", [np.full((4, 2), np.nan), np.ones(4)], ids=["nan", "1-d"])
+def test_a_builders_inverse_meets_the_same_checks(matrix):
+    for fresh in (False, True):
+        with pytest.raises((ValidationError, DimensionError)):
+            InverseOperator(matrix=matrix.copy(), kind="minimum_norm", _fresh=fresh)
 
 
 @pytest.mark.parametrize("built", [True, False], ids=["classical_field", "direct"])
