@@ -10,6 +10,8 @@ for comparison, along with a two-source simulation harness and a CLI.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DimensionError,
     FormatError,
@@ -25,7 +27,6 @@ from .matcore import (
     as_hermitian,
     direct_partial_coherence,
     hermitian_eig,
-    inv_sqrt_hermitian,
     is_reflexive_ginverse,
     moore_penrose,
 )
@@ -36,7 +37,6 @@ from .forward import (
     VoxelGrid,
     builtin_1020_electrodes,
     electrode_seed_voxels,
-    forward_project,
     gain_fingerprint,
     load_leadfield,
     min_nn_distance,
@@ -46,7 +46,6 @@ from .forward import (
     read_pcf1,
     read_voxels_csv,
     resolution_matrix,
-    resolution_operator,
     save_leadfield,
     spherical_grid,
     synth_leadfield,
@@ -70,10 +69,8 @@ from .confield import (
     ClassicalField,
     ConnectivityFactor,
     SeededMap,
-    classical_coherence,
     classical_field,
     connectivity_maps,
-    dominant_component,
     lagged_measure,
     load_factor,
     max_over_seeds,
@@ -100,4 +97,9 @@ from .simharness import (
     write_report,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing the submodules binds them here too; they are not exports.
+__all__ = [
+    name
+    for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

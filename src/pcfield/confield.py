@@ -328,20 +328,6 @@ def classical_field(inverse, spectrum) -> ClassicalField:
     return _reading(built, _SeedRows(operand, root, built._rows.scale))
 
 
-def classical_coherence(field: ClassicalField, k: int, l: int) -> complex:
-    """Complex coherence ``S_kl / sqrt(S_kk S_ll)`` of two voxels (integer ids)."""
-    k, l = (_voxel_index(voxel, field.n_voxels) for voxel in (k, l))
-    for voxel in (k, l):
-        if field.diag[voxel] == 0.0:
-            raise ValidationError(
-                f"voxel {voxel} has zero source variance; coherence is undefined"
-            )
-    if k == l:
-        return 1.0 + 0.0j
-    cross = np.dot(field.A[k], np.conj(field.A[l]))
-    return complex(cross / math.sqrt(field.diag[k] * field.diag[l]))
-
-
 # ---------------------------------------------------------------------------
 # partial route
 
@@ -602,32 +588,6 @@ def resolution_check(leadfield, source_covariance) -> ReflexiveCheck:
     ginverse = gain.T @ np.linalg.solve(sensor, gain)
     projector = resolution_matrix(gain)
     return is_reflexive_ginverse(projector @ truth.values @ projector, ginverse)
-
-
-def dominant_component(factor) -> tuple[np.ndarray, float]:
-    """Leading left singular vector of the factor and its singular value.
-
-    Works from the small Gram matrix ``W* W`` (electrode-sized), so the
-    voxel dimension never appears squared. The vector's global phase is
-    fixed by making its largest-magnitude entry real and positive.
-    """
-    if isinstance(factor, ConnectivityFactor):
-        matrix = factor.W
-    else:
-        matrix = np.asarray(factor, dtype=np.complex128)
-        if matrix.ndim != 2:
-            raise DimensionError("factor must be a 2-d matrix")
-    gram = matrix.conj().T @ matrix
-    eigenvalues, eigenvectors = np.linalg.eigh(gram)
-    top = float(eigenvalues[-1])
-    if top <= 0.0:
-        raise ValidationError("factor is zero; no dominant component")
-    singular_value = math.sqrt(top)
-    weights = matrix @ eigenvectors[:, -1] / singular_value
-    weights = weights / np.linalg.norm(weights)
-    anchor = int(np.argmax(np.abs(weights)))
-    phase = weights[anchor] / abs(weights[anchor])
-    return weights * np.conj(phase), singular_value
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ import math
 import operator
 import os
 import struct
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -452,8 +452,6 @@ class InverseOperator:
     """
 
     matrix: np.ndarray
-    kind: str
-    weights: np.ndarray | None = field(default=None)
     _fresh: InitVar[bool] = False
 
     def __post_init__(self, _fresh):
@@ -581,7 +579,7 @@ def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
 def min_norm_inverse(leadfield) -> InverseOperator:
     """Minimum-norm inverse ``T = K' (K K')^(-1)``."""
     gain = _full_rank_gain(leadfield)
-    return InverseOperator(matrix=_right_inverse(gain, gain), kind="minimum_norm", _fresh=True)
+    return InverseOperator(matrix=_right_inverse(gain, gain), _fresh=True)
 
 
 def weighted_inverse(leadfield, weights) -> InverseOperator:
@@ -595,19 +593,7 @@ def weighted_inverse(leadfield, weights) -> InverseOperator:
     if np.any(weight_vector <= 0) or not np.all(np.isfinite(weight_vector)):
         raise ValidationError("weights must be finite and strictly positive")
     matrix = _right_inverse(gain, gain * weight_vector[None, :])
-    return InverseOperator(matrix=matrix, kind="weighted", weights=weight_vector, _fresh=True)
-
-
-def forward_project(leadfield, sources) -> np.ndarray:
-    """Project source amplitudes to the sensors: ``K @ sources``, K full row rank."""
-    gain = _full_rank_gain(leadfield)
-    source_array = np.asarray(sources)
-    if source_array.shape[0] != gain.shape[1]:
-        raise DimensionError(
-            f"source length {source_array.shape[0]} does not match "
-            f"{gain.shape[1]} voxels"
-        )
-    return gain @ source_array
+    return InverseOperator(matrix=matrix, _fresh=True)
 
 
 def resolution_matrix(leadfield) -> np.ndarray:
@@ -616,32 +602,16 @@ def resolution_matrix(leadfield) -> np.ndarray:
     ``H = K' (K K')^(-1) K`` is the symmetric idempotent projector onto the
     row space of the gain matrix; its trace equals the electrode count. A
     gain :func:`min_norm_inverse` refuses is refused here too, with the
-    same error. Refused above ``MAX_DENSE_VOXELS`` voxels; use
-    :func:`resolution_operator` there.
+    same error. Refused above ``MAX_DENSE_VOXELS`` voxels.
     """
     gain = _full_rank_gain(leadfield)
     if gain.shape[1] > MAX_DENSE_VOXELS:
         raise DimensionError(
             f"{gain.shape[1]} voxels would materialize a "
-            f"{gain.shape[1]}x{gain.shape[1]} matrix; use resolution_operator"
+            f"{gain.shape[1]}x{gain.shape[1]} matrix (cap: {MAX_DENSE_VOXELS})"
         )
     dense = _right_inverse(gain, gain) @ gain
     return (dense + dense.T) / 2.0
-
-
-def resolution_operator(leadfield):
-    """Matrix-free resolution matrix: a callable ``v -> T (K v)``.
-
-    ``T`` is the minimum-norm inverse, verified as :func:`min_norm_inverse`
-    verifies it, so the operator is idempotent to rounding or not built.
-    """
-    gain = _full_rank_gain(leadfield)
-    matrix = _right_inverse(gain, gain)
-
-    def apply(vector: np.ndarray) -> np.ndarray:
-        return matrix @ (gain @ vector)
-
-    return apply
 
 
 def mp_symmetry_defect(leadfield, inverse) -> float:

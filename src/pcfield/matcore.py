@@ -3,9 +3,10 @@
 Everything here operates on small complex Hermitian matrices (sensor-space
 covariances and cross-spectra, at most a few hundred rows). The routines are
 pure functions of immutable inputs: eigendecomposition with rank detection,
-pseudo-inverse square root, Moore-Penrose inverse, the two-sided check that
-characterizes a reflexive generalized inverse, and the textbook partial
-coherence of a full-rank covariance, which doubles as a brute-force oracle
+whose range factor whitens a spectrum, the Moore-Penrose inverse, the
+two-sided check that characterizes a reflexive generalized inverse, and the
+textbook partial coherence of a full-rank covariance. The Moore-Penrose
+inverse and the textbook partial coherence double as independent oracles
 for the low-rank field estimator in :mod:`pcfield.confield`.
 """
 
@@ -169,29 +170,6 @@ def psd_eig(matrix, context: str) -> EigenDecomposition:
     return decomposition
 
 
-def _psd_power(matrix, power: float, context: str) -> HermitianMatrix:
-    """``Gamma+ Lambda+^power Gamma+*``: zero eigenvalues contribute zero."""
-    decomposition = psd_eig(matrix, context)
-    result = decomposition.range_factor(power) @ decomposition.range_factor(0.0).conj().T
-    return _hermitian_part(result)
-
-
-def inv_sqrt_hermitian(matrix) -> HermitianMatrix:
-    """Hermitian pseudo-inverse square root of a PSD matrix.
-
-    Returns ``U = vectors @ diag(values^(-1/2)) @ vectors*`` over the
-    eigenvalues above ``RANK_TOL``; eigenvalues reported as zero
-    contribute zero, so ``U @ S @ U`` projects onto the column space of
-    ``S`` rather than the identity when ``S`` is singular.
-
-    Raises
-    ------
-    NotPositiveSemidefiniteError
-        If an eigenvalue is below ``-RANK_TOL * max|eigenvalue|``.
-    """
-    return _psd_power(matrix, -0.5, "inv_sqrt_hermitian")
-
-
 def moore_penrose(matrix) -> HermitianMatrix:
     """Moore-Penrose inverse of a Hermitian PSD matrix.
 
@@ -203,7 +181,9 @@ def moore_penrose(matrix) -> HermitianMatrix:
     NotPositiveSemidefiniteError
         If an eigenvalue is below ``-RANK_TOL * max|eigenvalue|``.
     """
-    return _psd_power(matrix, -1.0, "moore_penrose")
+    decomposition = psd_eig(matrix, "moore_penrose")
+    result = decomposition.range_factor(-1.0) @ decomposition.range_factor(0.0).conj().T
+    return _hermitian_part(result)
 
 
 @dataclass(frozen=True)

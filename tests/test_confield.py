@@ -24,16 +24,15 @@ from pcfield import (
     ValidationError,
     as_hermitian,
     band_cross_spectrum,
-    classical_coherence,
     classical_field,
     connectivity_maps,
     direct_partial_coherence,
-    dominant_component,
     is_reflexive_ginverse,
     lagged_measure,
     load_factor,
     max_over_seeds,
     min_norm_inverse,
+    moore_penrose,
     pairwise_partial,
     partial_field,
     read_map_csv,
@@ -71,18 +70,19 @@ class TestClassicalField:
 
     def test_bivariate_coherence_read(self):
         field = classical_field(np.eye(2), BIVARIATE)
-        assert classical_coherence(field, 0, 1) == pytest.approx(0.5, abs=1e-12)
+        values = seeded_map(field, 0, "classical_coh").values
+        assert values[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_self_coherence_is_exactly_one(self):
         field = classical_field(np.eye(2), BIVARIATE)
-        assert classical_coherence(field, 1, 1) == 1.0 + 0.0j
+        assert seeded_map(field, 1, "classical_coh").values[1] == 1.0
 
     def test_dead_voxel_flagged_and_refused(self):
         inverse = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])  # voxel 2 silent
         field = classical_field(inverse, BIVARIATE)
         assert list(field.dead_voxels) == [2]
         with pytest.raises(ValidationError, match="zero source variance"):
-            classical_coherence(field, 0, 2)
+            seeded_map(field, 0, "classical_coh")
 
     def test_duplicated_gain_columns_fake_full_coherence(self):
         # identical lead-field columns are indistinguishable sources: the
@@ -91,12 +91,12 @@ class TestClassicalField:
         rng = np.random.default_rng(0)
         spectrum = random_pd(rng, 2, complex_entries=False)
         field = classical_field(min_norm_inverse(gain).matrix, spectrum)
-        assert abs(abs(classical_coherence(field, 0, 1)) - 1.0) < 1e-12
+        assert abs(seeded_map(field, 0, "classical_coh").values[1] - 1.0) < 1e-12
 
     def test_out_of_range_pair(self):
         field = classical_field(np.eye(2), BIVARIATE)
-        with pytest.raises(ValidationError):
-            classical_coherence(field, 0, 5)
+        with pytest.raises(ValidationError, match="out of range"):
+            seeded_map(field, 5, "classical_coh")
 
     def test_diag_consistency_enforced(self):
         with pytest.raises(ValidationError):
@@ -205,6 +205,19 @@ def implied_field(gain, spectrum):
     return factor.W @ factor.W.conj().T
 
 
+def conditioned_pd(rng, n, condition):
+    """Complex Hermitian matrix with eigenvalues spread from 1 to 1/condition."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (basis * np.geomspace(1.0, 1.0 / condition, n)) @ basis.conj().T
+
+
+def pseudo_inverse_field(inverse, spectrum):
+    """``pinv(T S T')`` through :func:`moore_penrose`, scaled to unit diagonal."""
+    pseudo = moore_penrose(inverse.matrix @ spectrum @ inverse.matrix.T).values
+    scale = 1.0 / np.sqrt(np.real(np.diag(pseudo)))
+    return pseudo * np.outer(scale, scale)
+
+
 class TestFieldInvariances:
     @given(
         st.floats(min_value=-6.0, max_value=6.0),
@@ -225,6 +238,37 @@ class TestFieldInvariances:
         channels = rng.permutation(5)
         relabelled = implied_field(gain[channels], spectrum[np.ix_(channels, channels)])
         assert np.max(np.abs(relabelled - field)) <= 1e-12
+
+    # For the minimum-norm T, pinv(T S T') = K' S^-1 K when S is full rank:
+    # a voxel-space pseudo-inverse of the inverse's source covariance, where
+    # partial_field whitens S in sensor space. A singular S breaks the
+    # identity (pinv(T S T') is then not K' S+ K), so none is drawn.
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=10, max_value=60),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_min_norm_pseudo_inverse_equals_the_field(
+        self, n_electrodes, n_voxels, log_condition, log_s, log_k, seed
+    ):
+        rng = np.random.default_rng(seed)
+        gain = 10.0**log_k * random_gain(rng, n_electrodes, n_voxels)
+        spectrum = 10.0**log_s * conditioned_pd(rng, n_electrodes, 10.0**log_condition)
+        oracle = pseudo_inverse_field(min_norm_inverse(gain), spectrum)
+        assert np.max(np.abs(oracle - implied_field(gain, spectrum))) <= 1e-10
+
+    def test_weighted_pseudo_inverse_depends_on_the_weights(self):
+        # the pseudo-inverse route is tied to its inverse; the field is not
+        rng = np.random.default_rng(0)
+        gain = random_gain(rng, 8, 50)
+        spectrum = conditioned_pd(rng, 8, 10.0)
+        inverse = weighted_inverse(gain, rng.uniform(0.2, 5.0, 50))
+        oracle = pseudo_inverse_field(inverse, spectrum)
+        assert np.max(np.abs(oracle - implied_field(gain, spectrum))) > 0.1
 
 
 class TestSingleEigendecomposition:
@@ -629,44 +673,6 @@ class TestResolutionCheck:
         gain = rng.standard_normal((3, 600))
         with pytest.raises(DimensionError):
             resolution_check(gain, np.eye(600))
-
-
-class TestDominantComponent:
-    def test_single_active_column(self):
-        column = np.array([1.0, -1.0, 1.0, 1.0])
-        matrix = np.zeros((4, 3))
-        matrix[:, 0] = column  # rows are unit norm by construction
-        weights, singular_value = dominant_component(matrix)
-        assert singular_value == pytest.approx(2.0, abs=1e-12)
-        assert np.allclose(weights, column / 2.0, atol=1e-12)
-
-    def test_orthonormal_rows_give_unit_singular_value(self):
-        weights, singular_value = dominant_component(np.eye(2))
-        assert singular_value == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(weights) == pytest.approx(1.0, abs=1e-12)
-
-    def test_singular_value_squared_is_gram_peak(self):
-        rng = np.random.default_rng(21)
-        gain = random_gain(rng, 5, 22)
-        factor = partial_field(gain, random_pd(rng, 5))
-        _, singular_value = dominant_component(factor)
-        gram_peak = float(
-            np.linalg.eigvalsh(factor.W.conj().T @ factor.W)[-1]
-        )
-        assert singular_value**2 == pytest.approx(gram_peak, rel=1e-10)
-
-    def test_phase_anchor_is_real_positive(self):
-        rng = np.random.default_rng(22)
-        gain = random_gain(rng, 4, 9)
-        factor = partial_field(gain, random_pd(rng, 4))
-        weights, _ = dominant_component(factor)
-        anchor = np.abs(weights).argmax()
-        assert weights[anchor].imag == pytest.approx(0.0, abs=1e-14)
-        assert weights[anchor].real > 0.0
-
-    def test_zero_factor_rejected(self):
-        with pytest.raises(ValidationError):
-            dominant_component(np.zeros((3, 2)))
 
 
 class TestFactorPersistence:

@@ -18,7 +18,6 @@ from pcfield import (
     VoxelGrid,
     builtin_1020_electrodes,
     electrode_seed_voxels,
-    forward_project,
     gain_fingerprint,
     load_leadfield,
     min_nn_distance,
@@ -31,7 +30,6 @@ from pcfield import (
     read_pcf1,
     read_voxels_csv,
     resolution_matrix,
-    resolution_operator,
     save_leadfield,
     spherical_grid,
     synth_leadfield,
@@ -275,7 +273,6 @@ class TestInverses:
     def test_weighted_single_row(self):
         inverse = weighted_inverse(np.array([[1.0, 1.0]]), [1.0, 3.0])
         assert np.allclose(inverse.matrix, [[0.25], [0.75]], atol=1e-14)
-        assert inverse.kind == "weighted"
 
     def test_weights_cancel_on_disjoint_support(self):
         gain = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -316,31 +313,6 @@ class TestInverses:
             weighted_inverse(gain, [1.0, 2.0, 3.0])
 
 
-class TestForwardProject:
-    def test_zero_sources(self, small_leadfield):
-        projected = forward_project(small_leadfield, np.zeros(small_leadfield.n_voxels))
-        assert np.array_equal(projected, np.zeros(19))
-
-    def test_unit_source_extracts_column(self, small_leadfield):
-        unit = np.zeros(small_leadfield.n_voxels)
-        unit[17] = 1.0
-        assert np.array_equal(forward_project(small_leadfield, unit), small_leadfield.gain[:, 17])
-
-    def test_sensor_reconstruction_for_any_right_inverse(self, small_leadfield):
-        rng = np.random.default_rng(1)
-        measured = rng.standard_normal(19)
-        for inverse in (
-            min_norm_inverse(small_leadfield),
-            weighted_inverse(small_leadfield, rng.uniform(0.2, 5.0, small_leadfield.n_voxels)),
-        ):
-            reconstructed = forward_project(small_leadfield, inverse.matrix @ measured)
-            assert np.allclose(reconstructed, measured, atol=1e-10)
-
-    def test_length_mismatch(self, small_leadfield):
-        with pytest.raises(DimensionError):
-            forward_project(small_leadfield, np.zeros(3))
-
-
 class TestResolution:
     def test_identity_gain(self):
         assert np.allclose(resolution_matrix(np.eye(2)), np.eye(2), atol=1e-14)
@@ -355,17 +327,10 @@ class TestResolution:
         assert np.linalg.norm(h @ h - h) <= 1e-8
         assert abs(np.trace(h) - 19.0) <= 1e-8
 
-    def test_operator_matches_dense(self, small_leadfield):
-        h = resolution_matrix(small_leadfield)
-        apply = resolution_operator(small_leadfield)
-        rng = np.random.default_rng(2)
-        vector = rng.standard_normal(small_leadfield.n_voxels)
-        assert np.allclose(apply(vector), h @ vector, atol=1e-10)
-
     def test_dense_form_refused_above_voxel_cap(self):
         rng = np.random.default_rng(3)
         gain = rng.standard_normal((3, 2001))
-        with pytest.raises(DimensionError, match="resolution_operator"):
+        with pytest.raises(DimensionError, match="2001 voxels would materialize"):
             resolution_matrix(gain)
 
     def test_near_rank_deficient_gain_refused(self):
@@ -373,7 +338,7 @@ class TestResolution:
         rng = np.random.default_rng(17)
         gain = rng.standard_normal((4, 30))
         gain[3] = gain[2] + 1e-9 * rng.standard_normal(30)
-        for derive in (min_norm_inverse, resolution_matrix, resolution_operator):
+        for derive in (min_norm_inverse, resolution_matrix):
             with pytest.raises(SingularMatrixError):
                 derive(gain)
 
@@ -412,7 +377,7 @@ class TestMpSymmetryDefect:
         assert mp_symmetry_defect(leadfield, inverse) <= 1e-10
 
     def test_shape_mismatch(self, small_leadfield):
-        bad = InverseOperator(matrix=np.zeros((3, 19)), kind="weighted")
+        bad = InverseOperator(matrix=np.zeros((3, 19)))
         with pytest.raises(DimensionError):
             mp_symmetry_defect(small_leadfield, bad)
 

@@ -15,11 +15,10 @@ from pcfield import (
     as_hermitian,
     direct_partial_coherence,
     hermitian_eig,
-    inv_sqrt_hermitian,
     is_reflexive_ginverse,
     moore_penrose,
 )
-from pcfield.matcore import _hermitian_part
+from pcfield.matcore import _hermitian_part, psd_eig
 
 
 class TestHermitianMatrix:
@@ -124,44 +123,64 @@ class TestHermitianEig:
         assert decomposition.rank == np.count_nonzero(decomposition.eigenvalues)
 
 
+class TestRangeFactor:
+    # range_factor(-1/2) is the whitener partial_field applies to S
+    @pytest.mark.parametrize("rank", [6, 3])
+    def test_whitens_the_range(self, rank):
+        matrix = random_psd(np.random.default_rng(rank), 6, rank=rank)
+        whitener = hermitian_eig(matrix).range_factor(-0.5)
+        assert whitener.shape == (6, rank)
+        whitened = whitener.conj().T @ matrix @ whitener
+        assert np.allclose(whitened, np.eye(rank), atol=1e-10)
+
+    def test_singular_diagonal_hand_value(self):
+        whitener = hermitian_eig(np.diag([2.0, 0.0])).range_factor(-0.5)
+        assert np.allclose(np.abs(whitener), [[1.0 / np.sqrt(2.0)], [0.0]], atol=1e-14)
+
+
+def inv_sqrt(matrix):
+    """``S^{+1/2}`` from the PSD whitener of a cross-spectrum: ``F Gamma+*``
+    with ``F = range_factor(-1/2)``, as :func:`moore_penrose` builds ``S+``."""
+    decomposition = psd_eig(matrix, "cross-spectrum")
+    return decomposition.range_factor(-0.5) @ decomposition.range_factor(0.0).conj().T
+
+
 class TestInvSqrt:
     def test_scaled_identity(self):
-        assert np.allclose(
-            inv_sqrt_hermitian(4.0 * np.eye(2)).values, 0.5 * np.eye(2), atol=1e-14
-        )
+        assert np.allclose(inv_sqrt(4.0 * np.eye(2)), 0.5 * np.eye(2), atol=1e-14)
 
     def test_diagonal(self):
-        result = inv_sqrt_hermitian(np.diag([4.0, 9.0])).values
+        result = inv_sqrt(np.diag([4.0, 9.0]))
         assert np.allclose(result, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
 
     def test_two_by_two_hand_values(self):
         # from the (3, 1) eigensystem: (1/sqrt(3) + 1)/2 and (1/sqrt(3) - 1)/2
-        result = inv_sqrt_hermitian(np.array([[2.0, 1.0], [1.0, 2.0]])).values
+        result = inv_sqrt(np.array([[2.0, 1.0], [1.0, 2.0]]))
         expected = np.array([[0.7887, -0.2113], [-0.2113, 0.7887]])
         assert np.allclose(result, expected, atol=1e-3)
 
     def test_singular_input_uses_pseudo_branch(self):
-        result = inv_sqrt_hermitian(np.diag([2.0, 0.0])).values
+        result = inv_sqrt(np.diag([2.0, 0.0]))
         assert np.allclose(result, np.diag([1.0 / np.sqrt(2.0), 0.0]), atol=1e-14)
 
     def test_whitening_property_on_full_rank(self):
         rng = np.random.default_rng(11)
         matrix = random_pd(rng, 5)
-        u = inv_sqrt_hermitian(matrix).values
+        u = inv_sqrt(matrix)
         assert np.allclose(u @ matrix @ u, np.eye(5), atol=1e-10)
 
     def test_projects_on_rank_deficient(self):
         rng = np.random.default_rng(12)
         matrix = random_psd(rng, 6, rank=3)
-        u = inv_sqrt_hermitian(matrix).values
+        u = inv_sqrt(matrix)
         projector = u @ matrix @ u
         # idempotent projector onto the column space, not the identity
         assert np.allclose(projector @ projector, projector, atol=1e-10)
         assert abs(np.trace(projector).real - 3.0) < 1e-8
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveSemidefiniteError):
-            inv_sqrt_hermitian(np.diag([1.0, -1.0]))
+        with pytest.raises(NotPositiveSemidefiniteError, match="cross-spectrum"):
+            inv_sqrt(np.diag([1.0, -1.0]))
 
 
 class TestMoorePenrose:

@@ -13,17 +13,19 @@ from pcfield import (
     ConnectivityFactor,
     CrossSpectrum,
     DimensionError,
+    ElectrodeArray,
     GroundTruth,
     InverseOperator,
+    LeadField,
     NotPositiveSemidefiniteError,
     ReflexiveCheck,
     SeededMap,
     SimulationConfig,
     SingularMatrixError,
     ValidationError,
-    classical_coherence,
+    VoxelGrid,
     classical_field,
-    forward_project,
+    connectivity_maps,
     lagged_measure,
     min_norm_inverse,
     mp_symmetry_defect,
@@ -32,7 +34,6 @@ from pcfield import (
     reflexive_residuals,
     resolution_check,
     resolution_matrix,
-    resolution_operator,
     seeded_map,
     weighted_inverse,
     write_config,
@@ -47,13 +48,18 @@ def good_inverse():
     return min_norm_inverse(random_gain(np.random.default_rng(1), 2, 3))
 
 
+def geometry_leadfield(gain):
+    """A :class:`LeadField` of ``gain`` on two electrodes and three voxels."""
+    electrodes = ElectrodeArray(labels=("Fz", "Cz"), positions=np.eye(3)[:2])
+    voxels = VoxelGrid(positions=0.5 * np.eye(3), spacing=0.5)
+    return LeadField(gain=gain, electrodes=electrodes, voxels=voxels)
+
+
 # Every function that takes a lead field, called with a gain array.
 GAIN_TAKERS = {
     "min_norm_inverse": min_norm_inverse,
     "weighted_inverse": lambda gain: weighted_inverse(gain, np.ones(3)),
-    "forward_project": lambda gain: forward_project(gain, np.ones(3)),
     "resolution_matrix": resolution_matrix,
-    "resolution_operator": resolution_operator,
     "mp_symmetry_defect": lambda gain: mp_symmetry_defect(gain, good_inverse()),
     "partial_field": lambda gain: partial_field(gain, np.eye(2)),
     "pairwise_partial": lambda gain: pairwise_partial(gain, np.eye(2), 0, 1),
@@ -61,11 +67,15 @@ GAIN_TAKERS = {
         gain, np.eye(2), good_inverse()
     ),
     "resolution_check": lambda gain: resolution_check(gain, np.eye(3)),
+    "connectivity_maps": lambda gain: connectivity_maps(
+        gain, np.eye(2), "partial_coh", [0]
+    ),
+    "LeadField": geometry_leadfield,
 }
 
 # Every function that takes an inverse, called with an inverse array.
 INVERSE_TAKERS = {
-    "InverseOperator": lambda matrix: InverseOperator(matrix=matrix, kind="weighted"),
+    "InverseOperator": lambda matrix: InverseOperator(matrix=matrix),
     "classical_field": lambda matrix: classical_field(matrix, np.eye(2)),
     "reflexive_residuals": lambda matrix: reflexive_residuals(
         random_gain(np.random.default_rng(1), 2, 3), np.eye(2), matrix
@@ -139,7 +149,7 @@ class TestGainRule:
 
     def test_empty_gain_is_dimension_error(self):
         with pytest.raises(DimensionError, match="nonempty"):
-            forward_project(np.zeros((0, 3)), np.ones(3))
+            min_norm_inverse(np.zeros((0, 3)))
 
     def test_k_t_check_refuses_nan(self):
         # NaN compares false with every bound, so the check must be written
@@ -210,16 +220,25 @@ class TestVoxelIds:
     @pytest.mark.parametrize("voxel", [2.0, 1.5, "2", 6, -1])
     @pytest.mark.parametrize(
         "call",
-        ["seeded_map", "pairwise_partial", "classical_coherence", "SeededMap"],
+        [
+            "seeded_map",
+            "pairwise_partial",
+            "classical_coherence",
+            "SeededMap",
+            "connectivity_maps",
+        ],
     )
     def test_bad_voxel_id_is_validation_error(self, sources, call, voxel):
         gain, spectrum, factor, field = sources
         calls = {
             "seeded_map": lambda: seeded_map(factor, voxel, "partial_coh"),
             "pairwise_partial": lambda: pairwise_partial(gain, spectrum, voxel, 0),
-            "classical_coherence": lambda: classical_coherence(field, 0, voxel),
+            "classical_coherence": lambda: seeded_map(field, voxel, "classical_coh"),
             "SeededMap": lambda: SeededMap(
                 seed=voxel, values=np.ones(6), measure="partial_coh"
+            ),
+            "connectivity_maps": lambda: connectivity_maps(
+                gain, spectrum, "classical_coh", [0, voxel]
             ),
         }
         with pytest.raises(ValidationError, match="integer|out of range"):
@@ -233,8 +252,9 @@ class TestVoxelIds:
         assert pairwise_partial(gain, spectrum, np.int32(2), 3) == pairwise_partial(
             gain, spectrum, 2, 3
         )
-        assert classical_coherence(field, np.uint8(2), 3) == classical_coherence(
-            field, 2, 3
+        assert np.array_equal(
+            seeded_map(field, np.uint8(2), "classical_coh").values,
+            seeded_map(field, 2, "classical_coh").values,
         )
 
 

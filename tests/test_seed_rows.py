@@ -191,7 +191,7 @@ def test_replace_reads_the_rows_of_the_new_factor(method):
 def test_a_builders_inverse_meets_the_same_checks(matrix):
     for fresh in (False, True):
         with pytest.raises((ValidationError, DimensionError)):
-            InverseOperator(matrix=matrix.copy(), kind="minimum_norm", _fresh=fresh)
+            InverseOperator(matrix=matrix.copy(), _fresh=fresh)
 
 
 @pytest.mark.parametrize("built", [True, False], ids=["classical_field", "direct"])
@@ -238,8 +238,8 @@ def test_writes_to_the_callers_arrays_move_no_object_and_no_map():
     owned_grid = VoxelGrid(positions=owned_positions, spacing=0.3)
     electrodes = ElectrodeArray(labels=reference.electrodes.labels, positions=electrode_view)
     leadfield = LeadField(gain=gain_view, electrodes=electrodes, voxels=grid)
-    inverse = InverseOperator(matrix=inverse_view, kind="minimum_norm")
-    fortran = InverseOperator(matrix=np.asfortranarray(inverse_matrix), kind="minimum_norm")
+    inverse = InverseOperator(matrix=inverse_view)
+    fortran = InverseOperator(matrix=np.asfortranarray(inverse_matrix))
     sources = {
         "object": (partial_field(leadfield, spectrum), classical_field(inverse, spectrum)),
         "array": (partial_field(gain_view, spectrum), classical_field(inverse_view, spectrum)),
