@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -69,6 +69,9 @@ DEGENERATE_TOL = 1e-12
 
 #: Legal seeded-map measure tags.
 MEASURES = ("classical_coh", "classical_lagged", "partial_coh", "partial_lagged")
+
+#: Rows per block of a per-row reduction over a voxel factor.
+_ROW_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +124,37 @@ def _reciprocal_sqrt(variances: np.ndarray) -> np.ndarray:
     return np.divide(1.0, scale, out=scale, where=live)
 
 
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(matrix, axis=1)``, bit for bit, one row block at a time."""
+    return _by_row_blocks(matrix, lambda block: np.linalg.norm(block, axis=1))
+
+
+def _squared_row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``np.sum(np.abs(matrix) ** 2, axis=1)``, bit for bit, one row block at a time."""
+    return _by_row_blocks(matrix, lambda block: np.sum(np.abs(block) ** 2, axis=1))
+
+
+def _by_row_blocks(matrix: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(matrix)`` for a row-wise ``reduce``, over blocks of ``_ROW_BLOCK`` rows.
+
+    Each row is reduced by the same expression in the same order, so the
+    values are those of one call on the whole matrix; the temporaries are
+    one block's, not the whole factor's.
+    """
+    out = np.empty(matrix.shape[0])
+    for start in range(0, matrix.shape[0], _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        out[start:stop] = reduce(matrix[start:stop])
+    return out
+
+
+def _frozen(array, dtype, fresh: bool) -> np.ndarray:
+    """``array`` as a read-only ``dtype`` array: a copy, or itself when ``fresh``."""
+    frozen = np.array(array, dtype=dtype, copy=None if fresh else True)
+    frozen.setflags(write=False)
+    return frozen
+
+
 def _reading(source, rows: _SeedRows):
     """``source``, a field just built from ``rows``' operand, reading its rows there."""
     object.__setattr__(source, "_rows", rows)
@@ -135,10 +169,13 @@ class ConnectivityFactor:
     has unit norm by construction. ``effective_rank`` is the rank of the
     sensor cross-spectrum the factor was built from and the column count
     of ``W``; ``fingerprint`` ties the factor to the gain matrix it
-    belongs to. A factor reads its seed rows from ``W``, except that
-    :func:`partial_field` points ``_rows`` at the gain it built ``W``
-    from; ``dataclasses.replace`` drops that, so a copy with a new ``W``
-    reads its own.
+    belongs to. ``W`` is a read-only copy of the array given, so a later
+    write to the caller's array moves no map; :func:`partial_field` and
+    :func:`load_factor` hand over the array they just made (``_fresh``),
+    which is frozen in place. A factor reads its seed rows from ``W``,
+    except that :func:`partial_field` points ``_rows`` at the gain it
+    built ``W`` from; ``dataclasses.replace`` drops that, so a copy with a
+    new ``W`` reads its own.
     """
 
     W: np.ndarray  # (n_voxels, effective_rank) complex
@@ -147,9 +184,10 @@ class ConnectivityFactor:
     fingerprint: str
     effective_rank: int
     _rows: _SeedRows = field(init=False, repr=False, compare=False)
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        matrix = np.asarray(self.W, dtype=np.complex128)
+    def __post_init__(self, _fresh):
+        matrix = _frozen(self.W, np.complex128, _fresh)
         if matrix.ndim != 2:
             raise DimensionError("factor must be a 2-d matrix")
         if matrix.shape[1] != self.effective_rank:
@@ -159,13 +197,12 @@ class ConnectivityFactor:
             )
         if self.method != "partial":
             raise ValidationError(f"unknown factor method {self.method!r}")
-        norms = np.linalg.norm(matrix, axis=1)
+        norms = _row_norms(matrix)
         worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
         if not worst <= 1e-10:
             raise ValidationError(
                 f"factor rows must have unit norm (worst deviation {worst:.3e})"
             )
-        matrix.setflags(write=False)
         object.__setattr__(self, "W", matrix)
         object.__setattr__(self, "band", (float(self.band[0]), float(self.band[1])))
         object.__setattr__(self, "_rows", _SeedRows(matrix.T))
@@ -182,7 +219,10 @@ class ClassicalField:
     ``diag`` holds the per-voxel source variances, which must match the
     squared row norms of ``A`` to ``1e-10`` of the largest one. A voxel with
     exactly zero variance is dead: it cannot appear in any coherence query.
-    A field reads its seed rows from ``A``, except that
+    ``A`` and ``diag`` are read-only copies of the arrays given, so a later
+    write to the caller's arrays moves no map; :func:`classical_field`
+    hands over the arrays it just made (``_fresh``), which are frozen in
+    place. A field reads its seed rows from ``A``, except that
     :func:`classical_field` points ``_rows`` at the ``T'`` it built ``A``
     from; ``dataclasses.replace`` drops that, so a copy with a new ``A``
     reads its own.
@@ -191,19 +231,18 @@ class ClassicalField:
     A: np.ndarray  # (n_voxels, rank) complex
     diag: np.ndarray  # (n_voxels,) real
     _rows: _SeedRows = field(init=False, repr=False, compare=False)
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        factor = np.asarray(self.A, dtype=np.complex128)
-        variances = np.asarray(self.diag, dtype=np.float64)
+    def __post_init__(self, _fresh):
+        factor = _frozen(self.A, np.complex128, _fresh)
+        variances = _frozen(self.diag, np.float64, _fresh)
         if factor.ndim != 2:
             raise DimensionError("factor must be a 2-d matrix")
         if variances.shape != (factor.shape[0],):
             raise DimensionError("diag length does not match factor rows")
-        norms = np.sum(np.abs(factor) ** 2, axis=1)
+        norms = _squared_row_norms(factor)
         if not np.all(np.abs(variances - norms) <= 1e-10 * norms.max(initial=0.0)):
             raise ValidationError("diag does not match the factor row norms")
-        factor.setflags(write=False)
-        variances.setflags(write=False)
         object.__setattr__(self, "A", factor)
         object.__setattr__(self, "diag", variances)
         rows = _SeedRows(factor.T, scale=_reciprocal_sqrt(variances))
@@ -322,8 +361,8 @@ def classical_field(inverse, spectrum) -> ClassicalField:
     spectrum = _as_spectrum(spectrum, matrix.shape[1])
     root = spectrum.decomposition.range_factor(0.5)
     factor = _real_times_complex(matrix, root)
-    variances = np.sum(np.abs(factor) ** 2, axis=1)
-    built = ClassicalField(A=factor, diag=variances)
+    variances = _squared_row_norms(factor)
+    built = ClassicalField(A=factor, diag=variances, _fresh=True)
     operand = np.ascontiguousarray(matrix.T)
     return _reading(built, _SeedRows(operand, root, built._rows.scale))
 
@@ -354,7 +393,7 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
     spectrum = _as_spectrum(spectrum, gain.shape[0])
     whitener = spectrum.decomposition.range_factor(-0.5)
     pulled_back = _real_times_complex(gain.T, whitener)
-    row_norms = np.linalg.norm(pulled_back, axis=1)
+    row_norms = _row_norms(pulled_back)
     largest = float(np.max(row_norms))
     dead = row_norms <= ZERO_ROW_RTOL * largest
     if np.any(dead):
@@ -374,6 +413,7 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
         band=spectrum.band or (spectrum.frequency, spectrum.frequency),
         fingerprint=fingerprint,
         effective_rank=spectrum.decomposition.rank,
+        _fresh=True,
     )
     return _reading(factor, _SeedRows(gain, whitener, 1.0 / row_norms))
 
@@ -629,6 +669,7 @@ def load_factor(path) -> ConnectivityFactor:
         band=(entries["band_lo"], entries["band_hi"]),
         fingerprint=entries["fingerprint"],
         effective_rank=entries["effective_rank"],
+        _fresh=True,
     )
 
 

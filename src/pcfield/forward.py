@@ -396,7 +396,7 @@ def gain_fingerprint(gain: np.ndarray) -> str:
     array = np.ascontiguousarray(gain, dtype=np.float64)
     digest = hashlib.sha256()
     digest.update(str(array.shape).encode())
-    digest.update(array.tobytes())
+    digest.update(array)  # the buffer itself: no bytes copy of the gain
     return digest.hexdigest()
 
 
@@ -553,8 +553,14 @@ def _inverse_matrix(
 def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
     """``T = (K W)' (K W K')^(-1)`` for ``weighted_gain = K W``; checks ``K T = I``.
 
-    A tall ``K`` (more electrodes than voxels) has no right inverse, and
-    is refused by its shape before any solve.
+    ``G = K W K'`` is formed once. Its Cholesky factor ``L`` gives the
+    candidate ``T' = L^(-T) (L^(-1) K W)``, two products with one small
+    triangular inverse. When the factorisation fails or its candidate
+    misses ``K T = I``, an LU solve of ``G T' = K W`` gets the same check,
+    and its result or refusal decides: the Cholesky route settles no
+    refusal, so a gain LU accepts is never refused. A tall ``K`` (more
+    electrodes than voxels) has no right inverse, and is refused by its
+    shape before any solve.
     """
     rows, cols = gain.shape
     if rows > cols:
@@ -562,12 +568,24 @@ def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
             f"gain is {rows} x {cols}: a right inverse needs at least as many "
             "voxels as electrodes"
         )
+    gram = weighted_gain @ gain.T
+    # A factor of an ill-conditioned G may overflow or hold a NaN instead of
+    # raising; such a candidate fails the check below and LU decides.
+    with np.errstate(all="ignore"):
+        try:
+            root_inverse = np.linalg.inv(np.linalg.cholesky(gram))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            matrix = (root_inverse.T @ (root_inverse @ weighted_gain)).T
+            if _identity_defect(gain, matrix) <= 1e-8:
+                return matrix
     try:
-        solved = np.linalg.solve(weighted_gain @ gain.T, weighted_gain)
+        solved = np.linalg.solve(gram, weighted_gain)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"K W K' is numerically singular: {exc}") from exc
     matrix = solved.T
-    identity_defect = np.linalg.norm(gain @ matrix - np.eye(gain.shape[0]))
+    identity_defect = _identity_defect(gain, matrix)
     if not identity_defect <= 1e-8:
         raise SingularMatrixError(
             f"right inverse failed the K T = I check (defect "
@@ -576,8 +594,20 @@ def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _identity_defect(gain: np.ndarray, matrix: np.ndarray) -> float:
+    """``|K T - I|_F``, the check every right inverse must pass to ``1e-8``."""
+    return float(np.linalg.norm(gain @ matrix - np.eye(gain.shape[0])))
+
+
 def min_norm_inverse(leadfield) -> InverseOperator:
-    """Minimum-norm inverse ``T = K' (K K')^(-1)``."""
+    """Minimum-norm inverse ``T = K' (K K')^(-1)``.
+
+    Computed as ``T' = L^(-T) (L^(-1) K)`` from the Cholesky factor ``L`` of
+    ``K K'``. When that factorisation fails or its candidate misses the
+    ``K T = I`` check (``1e-8``, Frobenius), an LU solve of
+    ``K K' T' = K`` is checked the same way and decides, so the gains it
+    accepts and the refusals it words are those of the LU solve alone.
+    """
     gain = _full_rank_gain(leadfield)
     return InverseOperator(matrix=_right_inverse(gain, gain), _fresh=True)
 

@@ -6,7 +6,9 @@ The transform convention is the unnormalized forward DFT with kernel
 No tapering, detrending, or epoch overlap: epochs are assumed stationary
 and are combined by a plain average of their spectral outer products.
 
-An estimate is one ``rfft`` and one complex matrix product (a BLAS call):
+An estimate transforms only the bins it keeps when they are few (a direct
+DFT as two real matrix products) and takes one ``rfft`` of every epoch when
+they are many; either way the outer products are summed by BLAS calls, so
 the same inputs, numpy/BLAS build and BLAS thread count give the same bits.
 """
 
@@ -137,10 +139,30 @@ def dft_epoch(epoch: np.ndarray, bin: int) -> np.ndarray:
 def _mean_outer_product(rec: EpochedRecording, bins) -> np.ndarray:
     """Mean of ``x x*`` over epochs and ``bins`` (each at most n_samples / 2).
 
-    One product ``X' conj(X) / rows`` on the stacked ``rfft`` rows ``X``.
+    The stacked DFT rows ``X`` (one per epoch and bin) give the mean
+    ``X' conj(X) / rows``. Up to ``4 log2(n_samples)`` bins, where the direct
+    transform measured faster than the FFT, ``X = R - iI`` comes from two
+    real products ``R = cos(2 pi b t / n) @ data`` and ``I = sin(...) @ data``
+    of the bins' twiddles alone, and the mean is
+    ``(R'R + I'I + i(R'I - I'R)) / rows``: the recording is never cast to
+    complex, and no other bin is transformed. Wider bands take one ``rfft``
+    of every epoch and keep the band's bins.
     """
-    rows = np.fft.rfft(rec.data, axis=1)[:, bins, :].reshape(-1, rec.n_channels)
-    return rows.T @ rows.conj() / rows.shape[0]
+    n_samples, n_channels = rec.n_samples, rec.n_channels
+    if len(bins) > 4 * np.log2(n_samples):
+        rows = np.fft.rfft(rec.data, axis=1)[:, bins, :].reshape(-1, n_channels)
+        return rows.T @ rows.conj() / rows.shape[0]
+    # b * t reduced mod n keeps every angle in [0, 2 pi), so each twiddle
+    # is as accurate as a table entry.
+    steps = np.outer(bins, np.arange(n_samples)) % n_samples
+    angles = (2 * np.pi / n_samples) * steps
+    real = (np.cos(angles) @ rec.data).reshape(-1, n_channels)
+    imag = (np.sin(angles) @ rec.data).reshape(-1, n_channels)
+    cross = real.T @ imag
+    mean = np.empty((n_channels, n_channels), dtype=np.complex128)
+    mean.real = real.T @ real + imag.T @ imag
+    mean.imag = cross - cross.T
+    return mean / real.shape[0]
 
 
 def cross_spectrum(rec: EpochedRecording, bin: int) -> CrossSpectrum:

@@ -1,5 +1,6 @@
 """Connectivity fields: classical route, partial route, maps, diagnostics."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from pcfield import (
     ValidationError,
     as_hermitian,
     band_cross_spectrum,
+    builtin_1020_electrodes,
     classical_field,
     connectivity_maps,
     direct_partial_coherence,
@@ -41,9 +43,11 @@ from pcfield import (
     save_factor,
     seeded_map,
     spherical_grid,
+    synth_leadfield,
     weighted_inverse,
     write_map_csv,
 )
+from pcfield import confield
 
 BIVARIATE = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -780,3 +784,39 @@ class TestMapCsv:
         mapped = SeededMap(seed=None, values=np.zeros(3), measure="partial_lagged")
         with pytest.raises(ValidationError):
             write_map_csv(tmp_path / "map.csv", mapped, grid)
+
+
+class TestRowBlocks:
+    """Per-row reductions over a voxel factor run one block of rows at a time."""
+
+    @pytest.mark.parametrize("n_rows", [1, 1023, 1024, 1025, 3 * 1024 + 7])
+    def test_block_reductions_equal_the_whole_matrix_expressions(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        matrix = rng.standard_normal((n_rows, 7)) + 1j * rng.standard_normal((n_rows, 7))
+        whole_norms = np.linalg.norm(matrix, axis=1)
+        whole_squares = np.sum(np.abs(matrix) ** 2, axis=1)
+        assert confield._row_norms(matrix).tobytes() == whole_norms.tobytes()
+        assert confield._squared_row_norms(matrix).tobytes() == whole_squares.tobytes()
+
+    def test_builds_hold_about_one_row_block_beyond_their_outputs(self):
+        # 7 497 voxels of rank 19 are 7.3 row blocks: a whole-factor
+        # temporary would be several blocks, the blocked reductions one
+        rng = np.random.default_rng(27)
+        leadfield = synth_leadfield(builtin_1020_electrodes(), spherical_grid(0.07))
+        leadfield.fingerprint()  # hashed once per lead field, not per build
+        inverse = min_norm_inverse(leadfield)
+        spectrum = CrossSpectrum(matrix=random_pd(rng, 19), frequency=10.0, n_epochs=1)
+        block = confield._ROW_BLOCK * spectrum.decomposition.rank * 16
+        assert leadfield.n_voxels > 7 * confield._ROW_BLOCK
+        for build in (
+            lambda: partial_field(leadfield, spectrum),
+            lambda: classical_field(inverse, spectrum),
+        ):
+            tracemalloc.start()
+            try:
+                built = build()
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert built.n_voxels == leadfield.n_voxels
+            assert peak - retained < 2 * block, f"{peak - retained} B beyond the outputs"

@@ -313,6 +313,69 @@ class TestInverses:
             weighted_inverse(gain, [1.0, 2.0, 3.0])
 
 
+def gain_with_ratio(rows, cols, ratio, seed):
+    """Random gain whose singular values run from 1 down to ``ratio``."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, rows)))
+    return (u * np.geomspace(1.0, ratio, rows)) @ v.T
+
+
+def lu_right_inverse(gain, weighted_gain):
+    """``T`` from one LU solve of ``K W K' T' = K W``, the reference route."""
+    return np.linalg.solve(weighted_gain @ gain.T, weighted_gain).T
+
+
+def cholesky_candidate(gain):
+    """``T`` from the Cholesky factor ``L`` of ``K K'``: ``T' = L^-T (L^-1 K)``."""
+    root_inverse = np.linalg.inv(np.linalg.cholesky(gain @ gain.T))
+    return (root_inverse.T @ (root_inverse @ gain)).T
+
+
+def identity_defect(gain, matrix):
+    return np.linalg.norm(gain @ matrix - np.eye(gain.shape[0]))
+
+
+class TestRightInverseRoutes:
+    """The Cholesky route against the LU solve that decides when it fails."""
+
+    def test_lu_decides_when_the_cholesky_candidate_misses_the_check(self):
+        # at a singular-value ratio of 1e-4 the Cholesky candidate of some
+        # of these gains misses K T = I by a little, while LU meets it
+        decided_by_lu = []
+        for seed in range(10):
+            gain = gain_with_ratio(32, 400, 1e-4, seed)
+            if (
+                identity_defect(gain, cholesky_candidate(gain)) > 1e-8
+                and identity_defect(gain, lu_right_inverse(gain, gain)) <= 1e-8
+            ):
+                decided_by_lu.append(seed)
+                inverse = min_norm_inverse(gain).matrix
+                assert np.array_equal(inverse, lu_right_inverse(gain, gain))
+        assert decided_by_lu, "no gain in the sweep exercises the LU fallback"
+
+    def test_a_gain_lu_refuses_keeps_its_message(self):
+        gain = gain_with_ratio(19, 200, 1e-7, seed=4)
+        assert identity_defect(gain, lu_right_inverse(gain, gain)) > 1e-8
+        with pytest.raises(SingularMatrixError, match="failed the K T = I check"):
+            min_norm_inverse(gain)
+
+    @pytest.mark.parametrize("ratio", [1.0, 1e-1, 1e-2])
+    def test_routes_agree_on_well_conditioned_gains(self, ratio, small_leadfield):
+        rng = np.random.default_rng(7)
+        for gain in (gain_with_ratio(19, 300, ratio, seed=5), small_leadfield.gain):
+            weights = rng.uniform(0.5, 2.0, gain.shape[1])
+            for ours, reference in (
+                (min_norm_inverse(gain).matrix, lu_right_inverse(gain, gain)),
+                (
+                    weighted_inverse(gain, weights).matrix,
+                    lu_right_inverse(gain, gain * weights[None, :]),
+                ),
+            ):
+                gap = np.max(np.abs(ours - reference)) / np.max(np.abs(reference))
+                assert gap <= 1e-10
+
+
 class TestResolution:
     def test_identity_gain(self):
         assert np.allclose(resolution_matrix(np.eye(2)), np.eye(2), atol=1e-14)

@@ -291,3 +291,58 @@ def test_a_lead_field_is_hashed_once_however_many_fields_use_it(monkeypatch):
     # a bare gain has no object to keep the digest, so it is hashed per call
     assert partial_field(leadfield.gain, random_pd(rng, 19)).fingerprint == factors[0].fingerprint
     assert len(calls) == 2
+
+
+def test_a_factor_or_field_built_from_arrays_keeps_copies_of_them():
+    rng = np.random.default_rng(9)
+    gain = random_gain(rng, 5, 14)
+    built = partial_field(gain, random_pd(rng, 5)), classical_field(gain.T, random_pd(rng, 5))
+    W, A, diag = (np.array(array) for array in (built[0].W, built[1].A, built[1].diag))
+    factor = ConnectivityFactor(
+        W=W, method="partial", band=built[0].band, fingerprint=built[0].fingerprint,
+        effective_rank=built[0].effective_rank,
+    )
+    field = ClassicalField(A=A, diag=diag)
+    other = classical_field(gain.T, random_pd(rng, 5))
+    new_A, new_diag = np.array(other.A), np.array(other.diag)
+    swapped = dataclasses.replace(field, A=new_A, diag=new_diag)
+    sources = [(factor, "partial"), (field, "classical"), (swapped, "classical")]
+
+    def maps():
+        return [
+            seeded_map(source, seed, f"{method}_{kind}").values
+            for source, method in sources
+            for kind in ("coh", "lagged")
+            for seed in (0, 6, 13)
+        ]
+
+    before = maps()
+    for array in (W, A, diag, new_A, new_diag):
+        array[...] = 0.5  # the caller's own buffers stay writable
+    for new, old in zip(maps(), before):
+        assert np.array_equal(new, old)
+    for array in (factor.W, field.A, field.diag, swapped.A, swapped.diag):
+        assert not array.flags.writeable
+    assert np.array_equal(swapped.A, other.A) and np.array_equal(swapped.diag, other.diag)
+    for seed in (0, 6, 13):
+        assert np.allclose(
+            seeded_map(swapped, seed, "classical_coh").values,
+            seeded_map(other, seed, "classical_coh").values,
+            rtol=0, atol=1e-12,
+        )
+
+
+def test_load_factor_freezes_the_matrix_it_read_in_place(tmp_path, monkeypatch):
+    rng = np.random.default_rng(10)
+    factor = partial_field(random_gain(rng, 5, 14), random_pd(rng, 5))
+    save_factor(tmp_path / "factor.pcf", factor)
+    read = []
+
+    def reading(path):
+        read.append(forward.read_pcf1(path))
+        return read[-1]
+
+    monkeypatch.setattr(confield, "read_pcf1", reading)
+    loaded = load_factor(tmp_path / "factor.pcf")
+    assert loaded.W is read[0] and not loaded.W.flags.writeable
+    assert np.array_equal(loaded.W, factor.W)

@@ -209,6 +209,42 @@ class TestAgainstExplicitOuterProducts:
             cross_spectrum(rec, 40).values.tobytes()
         )
 
+    @pytest.fixture
+    def rfft_calls(self, monkeypatch):
+        calls = []
+        original = np.fft.rfft
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        return calls
+
+    # 4 log2(n) is 24 at n = 64 and 23.9 at n = 63: the direct DFT takes up
+    # to that many bins, the rfft one bin more
+    @pytest.mark.parametrize(
+        "n_samples, count, direct",
+        [(64, 24, True), (64, 25, False), (63, 23, True), (63, 24, False)],
+    )
+    def test_band_at_and_above_the_direct_limit(self, rfft_calls, n_samples, count, direct):
+        rng = np.random.default_rng(24)
+        rec = recording_from(rng.standard_normal((6, n_samples, 4)), rate=float(n_samples))
+        bins = band_bins(rec.n_samples, rec.rate, 1.0, float(count))
+        assert len(bins) == count
+        estimated = band_cross_spectrum(rec, 1.0, float(count)).values
+        assert relative_gap(estimated, explicit_mean(rec, bins)) <= 1e-12
+        assert (len(rfft_calls) == 0) is direct
+
+    @pytest.mark.parametrize("n_samples, bin", [(64, 55), (63, 40)])
+    def test_mirrored_bin_on_the_direct_path(self, rfft_calls, n_samples, bin):
+        rng = np.random.default_rng(25)
+        rec = recording_from(rng.standard_normal((6, n_samples, 4)), rate=float(n_samples))
+        estimated = cross_spectrum(rec, bin).values
+        assert relative_gap(estimated, explicit_mean(rec, [bin])) <= 1e-12
+        assert np.max(np.abs(estimated.imag)) > 0.1 * np.max(np.abs(estimated))
+        assert rfft_calls == []
+
 
 class TestBandBins:
     def test_alpha_band_at_reference_rate(self):
@@ -270,6 +306,20 @@ class TestBandCrossSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_a_narrow_band_holds_its_rows_not_every_bin(self):
+        # the 5 bins of 8-12 Hz keep 100 x 5 rows of 32 channels (256 kB as
+        # complex); an rfft of every bin would hold 129 bins, 6.6 MB
+        rng = np.random.default_rng(26)
+        rec = recording_from(rng.standard_normal((100, 256, 32)), rate=256.0)
+        kept = rec.n_epochs * 5 * rec.n_channels * 16
+        tracemalloc.start()
+        try:
+            band_cross_spectrum(rec, 8.0, 12.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * kept, f"peak {peak} B, kept rows {kept} B"
 
 
 class TestEpochsCsv:
