@@ -8,11 +8,12 @@ the lead field and the (pseudo-)inverted sensor cross-spectrum, which is
 the quantity whose off-diagonal structure survives common-source mixing.
 
 Everything is held in factored form. The implied voxel-by-voxel matrices
-``A A*`` and ``W W*`` are never materialized. A seed's map is one
-normalized column of ``K' S+ K`` (partial) or ``T S T'`` (classical), read
-from the real operand ``K`` or ``T'`` rather than the complex thin factor:
-an electrode-sized complex vector, then one real product over the operand,
-which is half the bytes of the factor.
+``T S T'`` and ``W W*`` are never materialized, and the classical field
+keeps no voxels x rank factor at all: it holds ``T`` and the range factor
+of ``S``. A seed's map is one normalized column of ``K' S+ K`` (partial)
+or ``T S T'`` (classical), read from the real operand ``K`` or ``T'``
+rather than a complex thin factor: an electrode-sized complex vector, then
+one real product over the operand, which is half the bytes of the factor.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .forward import (
+    InverseOperator,
     LeadField,
     VoxelGrid,
     _full_rank_gain,
@@ -82,13 +84,13 @@ _ROW_BLOCK = 1024
 class _SeedRows:
     """Seed rows ``scale * scale[s] * (q @ R)`` of a field ``R' M M* R``.
 
-    Built from ``K`` or ``T``, ``operand`` ``R`` is real and C-contiguous
-    (electrodes x voxels), ``mixer`` ``M`` is a range factor of ``S`` and
+    Built from ``K`` or ``T``, ``operand`` ``R`` is real (electrodes x
+    voxels), ``mixer`` ``M`` is a range factor of ``S`` and
     ``q = M (M* R[:, s])``, so neither ``S+`` nor ``S`` is formed. ``q @ R``
     is one real product ``[Re q; Im q] @ R``; ``R`` is never cast to
-    complex. Without a mixer, ``operand`` is a thin factor's transpose
-    ``W'`` (or ``A'``) and the row is ``W @ conj(W[s])``. ``scale=None`` is
-    unit scale.
+    complex. Without a mixer (a loaded or directly built partial factor),
+    ``operand`` is the unit-row factor's transpose ``W'``, the row is
+    ``W @ conj(W[s])`` and there is no scale.
     """
 
     operand: np.ndarray
@@ -97,10 +99,7 @@ class _SeedRows:
 
     def __call__(self, seed: int) -> np.ndarray:
         if self.mixer is None:
-            row = self.operand.T @ np.conj(self.operand[:, seed])
-            if self.scale is not None:
-                row *= self.scale * self.scale[seed]
-            return row
+            return self.operand.T @ np.conj(self.operand[:, seed])
         mixed = self.mixer @ np.conj(self.operand[:, seed] @ self.mixer)
         mixed *= self.scale[seed]
         parts = _pairs(mixed).T @ self.operand
@@ -139,12 +138,19 @@ def _by_row_blocks(matrix: np.ndarray, reduce) -> np.ndarray:
 
     Each row is reduced by the same expression in the same order, so the
     values are those of one call on the whole matrix; the temporaries are
-    one block's, not the whole factor's.
+    one block's, not the whole factor's. A lone last row joins the block
+    before it: numpy multiplies a one-row matrix with a vector kernel,
+    whose rounding is not the matrix kernel's.
     """
-    out = np.empty(matrix.shape[0])
-    for start in range(0, matrix.shape[0], _ROW_BLOCK):
+    n_rows = matrix.shape[0]
+    out = np.empty(n_rows)
+    start = 0
+    while start < n_rows:
         stop = start + _ROW_BLOCK
+        if stop + 1 == n_rows:
+            stop = n_rows
         out[start:stop] = reduce(matrix[start:stop])
+        start = stop
     return out
 
 
@@ -153,12 +159,6 @@ def _frozen(array, dtype, fresh: bool) -> np.ndarray:
     frozen = np.array(array, dtype=dtype, copy=None if fresh else True)
     frozen.setflags(write=False)
     return frozen
-
-
-def _reading(source, rows: _SeedRows):
-    """``source``, a field just built from ``rows``' operand, reading its rows there."""
-    object.__setattr__(source, "_rows", rows)
-    return source
 
 
 @dataclass(frozen=True)
@@ -214,43 +214,52 @@ class ConnectivityFactor:
 
 @dataclass(frozen=True)
 class ClassicalField:
-    """Factored source covariance ``S_J = A A*`` from an explicit inverse.
+    """Source covariance ``S_J = T S T' = A A*`` of an explicit inverse, held factored.
 
-    ``diag`` holds the per-voxel source variances, which must match the
-    squared row norms of ``A`` to ``1e-10`` of the largest one. A voxel with
-    exactly zero variance is dead: it cannot appear in any coherence query.
-    ``A`` and ``diag`` are read-only copies of the arrays given, so a later
-    write to the caller's arrays moves no map; :func:`classical_field`
-    hands over the arrays it just made (``_fresh``), which are frozen in
-    place. A field reads its seed rows from ``A``, except that
-    :func:`classical_field` points ``_rows`` at the ``T'`` it built ``A``
-    from; ``dataclasses.replace`` drops that, so a copy with a new ``A``
-    reads its own.
+    ``inverse`` is ``T`` (voxels x electrodes): an InverseOperator's matrix,
+    read as it is, or a finite 2-d array, of which a read-only copy is
+    kept. ``root`` is the range factor ``R = Gamma+ Lambda+^(1/2)`` of
+    ``S`` (electrodes x rank, complex), kept as a read-only copy. A later
+    write to the caller's arrays moves no map. ``A = T R`` is never stored:
+    ``diag``, the per-voxel source variances (squared row norms of
+    ``A``), is reduced once over row blocks of ``T R``, and seed rows read
+    ``T'`` and ``R``. A voxel with exactly zero variance is dead: it cannot
+    appear in any coherence query.
     """
 
-    A: np.ndarray  # (n_voxels, rank) complex
-    diag: np.ndarray  # (n_voxels,) real
+    inverse: np.ndarray  # (n_voxels, n_electrodes) real
+    root: np.ndarray  # (n_electrodes, rank) complex
+    diag: np.ndarray = field(init=False)  # (n_voxels,) real
     _rows: _SeedRows = field(init=False, repr=False, compare=False)
-    _fresh: InitVar[bool] = False
 
-    def __post_init__(self, _fresh):
-        factor = _frozen(self.A, np.complex128, _fresh)
-        variances = _frozen(self.diag, np.float64, _fresh)
-        if factor.ndim != 2:
-            raise DimensionError("factor must be a 2-d matrix")
-        if variances.shape != (factor.shape[0],):
-            raise DimensionError("diag length does not match factor rows")
-        norms = _squared_row_norms(factor)
-        if not np.all(np.abs(variances - norms) <= 1e-10 * norms.max(initial=0.0)):
-            raise ValidationError("diag does not match the factor row norms")
-        object.__setattr__(self, "A", factor)
+    def __post_init__(self):
+        matrix = _inverse_matrix(self.inverse)
+        root = _frozen(self.root, np.complex128, fresh=False)
+        if root.ndim != 2 or root.shape[0] != matrix.shape[1]:
+            raise DimensionError(
+                f"range factor of shape {root.shape} does not match an inverse "
+                f"of {matrix.shape[1]} electrodes"
+            )
+        if not np.all(np.isfinite(root)):
+            raise ValidationError("range factor contains non-finite entries")
+        variances = _by_row_blocks(
+            matrix, lambda block: _squared_row_norms(_real_times_complex(block, root))
+        )
+        variances.setflags(write=False)
+        object.__setattr__(self, "inverse", matrix)
+        object.__setattr__(self, "root", root)
         object.__setattr__(self, "diag", variances)
-        rows = _SeedRows(factor.T, scale=_reciprocal_sqrt(variances))
+        rows = _SeedRows(matrix.T, root, _reciprocal_sqrt(variances))
         object.__setattr__(self, "_rows", rows)
 
     @property
+    def A(self) -> np.ndarray:
+        """The voxels x rank factor ``T R`` of ``S_J``, formed anew on each access."""
+        return _real_times_complex(self.inverse, self.root)
+
+    @property
     def n_voxels(self) -> int:
-        return self.A.shape[0]
+        return self.inverse.shape[0]
 
     @cached_property
     def dead_voxels(self) -> np.ndarray:
@@ -350,21 +359,17 @@ def _real_times_complex(real: np.ndarray, factor: np.ndarray) -> np.ndarray:
 
 
 def classical_field(inverse, spectrum) -> ClassicalField:
-    """Source covariance factor ``A = T Gamma+ Lambda+^(1/2)`` for inverse T.
+    """The classical field of inverse ``T``: ``T`` and ``R = Gamma+ Lambda+^(1/2)``.
 
-    The implied covariance is ``S_J = T S T' = A A*``; it is never formed.
-    Entry (k, l) is recoverable as ``row_k(A) . conj(row_l(A))``. ``T``
-    must be finite; an array is copied, so a later write to it moves no map.
-    Seed rows read ``T'`` and ``Gamma+ Lambda+^(1/2)``, not ``A``.
+    The implied covariance is ``S_J = T S T' = A A*`` with ``A = T R``;
+    neither is stored. Entry (k, l) is ``row_k(T R) . conj(row_l(T R))``.
+    ``T`` must be finite. An InverseOperator's matrix is kept as it is; an
+    array is copied once, so a later write to it moves no map.
     """
-    matrix = _inverse_matrix(inverse)
-    spectrum = _as_spectrum(spectrum, matrix.shape[1])
-    root = spectrum.decomposition.range_factor(0.5)
-    factor = _real_times_complex(matrix, root)
-    variances = _squared_row_norms(factor)
-    built = ClassicalField(A=factor, diag=variances, _fresh=True)
-    operand = np.ascontiguousarray(matrix.T)
-    return _reading(built, _SeedRows(operand, root, built._rows.scale))
+    if not isinstance(inverse, InverseOperator):
+        inverse = InverseOperator(matrix=inverse)
+    spectrum = _as_spectrum(spectrum, inverse.matrix.shape[1])
+    return ClassicalField(inverse=inverse, root=spectrum.decomposition.range_factor(0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +420,8 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
         effective_rank=spectrum.decomposition.rank,
         _fresh=True,
     )
-    return _reading(factor, _SeedRows(gain, whitener, 1.0 / row_norms))
+    object.__setattr__(factor, "_rows", _SeedRows(gain, whitener, 1.0 / row_norms))
+    return factor
 
 
 def pairwise_partial(leadfield, spectrum, k: int, l: int) -> complex:
@@ -490,8 +496,8 @@ def seeded_map(source, seed: int, measure: str) -> SeededMap:
     product ``[Re q; Im q] @ R``, where ``M`` is ``Gamma+ Lambda+^(-1/2)``
     or ``Gamma+ Lambda+^(1/2)``; that equals ``W @ conj(W[seed])`` (or
     ``A @ conj(A[seed])`` over ``sqrt(diag * diag[seed])``) to rounding, and
-    moves half the bytes. A factor loaded from disk or built directly has
-    no operand, and reads the row from ``W`` (``A``). The seed must be an
+    moves half the bytes. A partial factor loaded from disk or built
+    directly has no operand, and reads the row from ``W``. The seed must be an
     integer voxel index below the voxel count (else a ValidationError
     names it). Coherence tags report magnitudes (seed entry exactly 1);
     lagged tags zero the row's seed entry before :func:`lagged_measure`,

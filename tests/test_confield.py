@@ -102,18 +102,10 @@ class TestClassicalField:
         with pytest.raises(ValidationError, match="out of range"):
             seeded_map(field, 5, "classical_coh")
 
-    def test_diag_consistency_enforced(self):
-        with pytest.raises(ValidationError):
-            ClassicalField(A=np.eye(2), diag=np.array([2.0, 1.0]))
-
     def test_diag_check_is_relative_to_the_largest_variance(self):
-        # the true variances are 1e-12, so diag 0 would report a live voxel
-        # as dead
-        with pytest.raises(ValidationError):
-            ClassicalField(A=1e-6 * np.eye(2), diag=np.array([5e-11, 0.0]))
         rng = np.random.default_rng(31)
         field = classical_field(rng.standard_normal((5, 3)), random_pd(rng, 3))
-        scaled = ClassicalField(A=1e6 * field.A, diag=1e12 * field.diag)
+        scaled = ClassicalField(inverse=1e6 * field.inverse, root=field.root)
         assert scaled.dead_voxels.size == 0
 
     def test_channel_mismatch(self):
@@ -797,6 +789,17 @@ class TestRowBlocks:
         whole_squares = np.sum(np.abs(matrix) ** 2, axis=1)
         assert confield._row_norms(matrix).tobytes() == whole_norms.tobytes()
         assert confield._squared_row_norms(matrix).tobytes() == whole_squares.tobytes()
+        # numpy takes a one-row product with a vector kernel: no block is one row
+        sizes = confield._by_row_blocks(matrix, lambda block: np.full(len(block), len(block)))
+        assert sizes.min() > 1 or n_rows == 1
+        # a classical field reduces its variances over row blocks of T R
+        spectrum = random_pd(rng, 7)
+        for inverse in (matrix.real.copy(), np.asfortranarray(matrix.imag)):
+            field = classical_field(inverse, spectrum)
+            whole = confield._real_times_complex(inverse, field.root)
+            assert field.diag.tobytes() == confield._squared_row_norms(whole).tobytes()
+            assert field.A.tobytes() == whole.tobytes()
+            assert np.allclose(field.A, inverse @ field.root, rtol=1e-14, atol=0.0)
 
     def test_builds_hold_about_one_row_block_beyond_their_outputs(self):
         # 7 497 voxels of rank 19 are 7.3 row blocks: a whole-factor
@@ -820,3 +823,25 @@ class TestRowBlocks:
                 tracemalloc.stop()
             assert built.n_voxels == leadfield.n_voxels
             assert peak - retained < 2 * block, f"{peak - retained} B beyond the outputs"
+
+    @pytest.mark.parametrize("operator", [True, False], ids=["InverseOperator", "array"])
+    def test_a_classical_field_holds_its_operands_and_variances_only(self, operator):
+        # 7 497 voxels of rank 19: the factor T R alone would be 7.3 row blocks
+        rng = np.random.default_rng(28)
+        leadfield = synth_leadfield(builtin_1020_electrodes(), spherical_grid(0.07))
+        inverse = min_norm_inverse(leadfield)
+        given = inverse if operator else np.array(inverse.matrix)
+        spectrum = CrossSpectrum(matrix=random_pd(rng, 19), frequency=10.0, n_epochs=1)
+        block = confield._ROW_BLOCK * spectrum.decomposition.rank * 16
+        tracemalloc.start()
+        try:
+            field = classical_field(given, spectrum)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        operands = field.root.nbytes + field.diag.nbytes
+        if not operator:
+            operands += field.inverse.nbytes
+        assert retained < operands + 2 * block, f"{retained - operands} B beyond the operands"
+        assert peak - retained < 2 * block, f"{peak - retained} B beyond the field"
+        assert np.shares_memory(field.inverse, inverse.matrix) == operator

@@ -141,23 +141,14 @@ def test_reference_lead_field_maps_match_thin_factor_rows(measure):
         assert_map_matches_row(source, voxel, measure, thin_factor_row(source, voxel))
 
 
-@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("measure", ["partial_coh", "partial_lagged"])
 def test_a_field_without_an_operand_keeps_the_thin_factor_bits(measure):
     rng = np.random.default_rng(13)
     gain = random_gain(rng, 5, 14)
-    spectrum = random_pd(rng, 5)
-    if measure.startswith("partial"):
-        built = partial_field(gain, spectrum)
-        direct = dataclasses.replace(built)
-    else:
-        built = classical_field(min_norm_inverse(gain), spectrum)
-        direct = ClassicalField(A=built.A, diag=built.diag)
+    built = partial_field(gain, random_pd(rng, 5))
+    direct = dataclasses.replace(built)
     for voxel in (0, 6, 13):
-        if measure.startswith("partial"):
-            row = built.W @ np.conj(built.W[voxel])
-        else:
-            scale = 1.0 / np.sqrt(built.diag)
-            row = built.A @ np.conj(built.A[voxel]) * (scale * scale[voxel])
+        row = built.W @ np.conj(built.W[voxel])
         if measure.endswith("_coh"):
             expected = np.abs(row)
             expected[voxel] = 1.0
@@ -179,7 +170,7 @@ def test_replace_reads_the_rows_of_the_new_factor(method):
     else:
         inverse = min_norm_inverse(gain)
         old, new = classical_field(inverse, first), classical_field(inverse, second)
-        swapped = dataclasses.replace(old, A=new.A, diag=new.diag)
+        swapped = dataclasses.replace(old, root=new.root)
     for measure in (f"{method}_coh", f"{method}_lagged"):
         for voxel in (0, 6, 13):
             ours = seeded_map(swapped, voxel, measure).values
@@ -203,8 +194,7 @@ def test_dead_voxel_refusal_keeps_its_message_without_warnings(built):
             inverse = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.5, 0.5]])
             field = classical_field(inverse, spectrum)
         else:
-            field = ClassicalField(A=np.array([[1.0], [0.0], [0.0], [2.0]]),
-                                   diag=np.array([1.0, 0.0, 0.0, 4.0]))
+            field = ClassicalField(inverse=[[1.0], [0.0], [0.0], [2.0]], root=[[1.0]])
         assert field.dead_voxels.tolist() == ([2] if built else [1, 2])
         message = (
             f"{field.dead_voxels.size} voxel\\(s\\) have zero source variance "
@@ -297,15 +287,15 @@ def test_a_factor_or_field_built_from_arrays_keeps_copies_of_them():
     rng = np.random.default_rng(9)
     gain = random_gain(rng, 5, 14)
     built = partial_field(gain, random_pd(rng, 5)), classical_field(gain.T, random_pd(rng, 5))
-    W, A, diag = (np.array(array) for array in (built[0].W, built[1].A, built[1].diag))
+    W, T, R = (np.array(array) for array in (built[0].W, built[1].inverse, built[1].root))
     factor = ConnectivityFactor(
         W=W, method="partial", band=built[0].band, fingerprint=built[0].fingerprint,
         effective_rank=built[0].effective_rank,
     )
-    field = ClassicalField(A=A, diag=diag)
+    field = ClassicalField(inverse=T, root=R)
     other = classical_field(gain.T, random_pd(rng, 5))
-    new_A, new_diag = np.array(other.A), np.array(other.diag)
-    swapped = dataclasses.replace(field, A=new_A, diag=new_diag)
+    new_T, new_R = np.array(other.inverse), np.array(other.root)
+    swapped = dataclasses.replace(field, inverse=new_T, root=new_R)
     sources = [(factor, "partial"), (field, "classical"), (swapped, "classical")]
 
     def maps():
@@ -317,12 +307,14 @@ def test_a_factor_or_field_built_from_arrays_keeps_copies_of_them():
         ]
 
     before = maps()
-    for array in (W, A, diag, new_A, new_diag):
+    for array in (W, T, R, new_T, new_R):
         array[...] = 0.5  # the caller's own buffers stay writable
     for new, old in zip(maps(), before):
         assert np.array_equal(new, old)
-    for array in (factor.W, field.A, field.diag, swapped.A, swapped.diag):
-        assert not array.flags.writeable
+    for held in (field, swapped):
+        for array in (held.inverse, held.root, held.diag):
+            assert not array.flags.writeable
+    assert not factor.W.flags.writeable
     assert np.array_equal(swapped.A, other.A) and np.array_equal(swapped.diag, other.diag)
     for seed in (0, 6, 13):
         assert np.allclose(
