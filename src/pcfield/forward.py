@@ -554,13 +554,13 @@ def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
     """``T = (K W)' (K W K')^(-1)`` for ``weighted_gain = K W``; checks ``K T = I``.
 
     ``G = K W K'`` is formed once. Its Cholesky factor ``L`` gives the
-    candidate ``T' = L^(-T) (L^(-1) K W)``, two products with one small
-    triangular inverse. When the factorisation fails or its candidate
-    misses ``K T = I``, an LU solve of ``G T' = K W`` gets the same check,
-    and its result or refusal decides: the Cholesky route settles no
-    refusal, so a gain LU accepts is never refused. A tall ``K`` (more
-    electrodes than voxels) has no right inverse, and is refused by its
-    shape before any solve.
+    small inverse ``G^(-1) = L^(-T) L^(-1)`` and the candidate
+    ``T' = G^(-1) K W``, one product over the voxels. When the
+    factorisation fails or its candidate misses ``K T = I``, an LU solve
+    of ``G T' = K W`` gets the same check, and its result or refusal
+    decides: the Cholesky route settles no refusal, so a gain LU accepts
+    is never refused. A tall ``K`` (more electrodes than voxels) has no
+    right inverse, and is refused by its shape before any solve.
     """
     rows, cols = gain.shape
     if rows > cols:
@@ -577,7 +577,7 @@ def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
         else:
-            matrix = (root_inverse.T @ (root_inverse @ weighted_gain)).T
+            matrix = ((root_inverse.T @ root_inverse) @ weighted_gain).T
             if _identity_defect(gain, matrix) <= 1e-8:
                 return matrix
     try:
@@ -602,7 +602,7 @@ def _identity_defect(gain: np.ndarray, matrix: np.ndarray) -> float:
 def min_norm_inverse(leadfield) -> InverseOperator:
     """Minimum-norm inverse ``T = K' (K K')^(-1)``.
 
-    Computed as ``T' = L^(-T) (L^(-1) K)`` from the Cholesky factor ``L`` of
+    Computed as ``T' = (L^(-T) L^(-1)) K`` from the Cholesky factor ``L`` of
     ``K K'``. When that factorisation fails or its candidate misses the
     ``K T = I`` check (``1e-8``, Frobenius), an LU solve of
     ``K K' T' = K`` is checked the same way and decides, so the gains it
