@@ -138,9 +138,11 @@ def _by_row_blocks(matrix: np.ndarray, reduce) -> np.ndarray:
 
     Each row is reduced by the same expression in the same order, so the
     values are those of one call on the whole matrix; the temporaries are
-    one block's, not the whole factor's. A lone last row joins the block
-    before it: numpy multiplies a one-row matrix with a vector kernel,
-    whose rounding is not the matrix kernel's.
+    one block's, not the whole factor's. A product inside ``reduce``
+    keeps this as far as BLAS rounds a row alike in a block and in the
+    whole matrix. numpy multiplies a one-row matrix with a vector kernel,
+    whose rounding is not the matrix kernel's, so a lone last row joins
+    the block before it.
     """
     n_rows = matrix.shape[0]
     out = np.empty(n_rows)
