@@ -112,6 +112,14 @@ class TestClassicalField:
         with pytest.raises(DimensionError):
             classical_field(np.eye(3), BIVARIATE)
 
+    def test_direct_operands_are_checked(self):
+        with pytest.raises(DimensionError, match="does not match an inverse of 2 electrodes"):
+            ClassicalField(inverse=np.eye(2), root=np.ones((3, 1)))
+        with pytest.raises(ValidationError, match="range factor contains non-finite"):
+            ClassicalField(inverse=np.eye(2), root=[[np.nan], [1.0]])
+        with pytest.raises(ValidationError, match="inverse operator contains non-finite"):
+            ClassicalField(inverse=[[np.inf, 0.0]], root=np.ones((2, 1)))
+
 
 class TestPartialField:
     def test_unit_diagonal_forced(self):
