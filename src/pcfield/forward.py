@@ -460,8 +460,13 @@ class InverseOperator:
 
 
 def _integer(name: str, value) -> int:
-    """``value`` through ``operator.index``, or a ValidationError naming ``name``."""
+    """``value`` through ``operator.index``, or a ValidationError naming ``name``.
+
+    A ``bool`` is refused, as numpy's ``operator.index`` refuses ``np.bool_``.
+    """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
