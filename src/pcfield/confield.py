@@ -524,14 +524,14 @@ def seeded_map(source, seed: int, measure: str) -> SeededMap:
     or ``Gamma+ Lambda+^(1/2)``; that equals ``W @ conj(W[seed])`` (or
     ``A @ conj(A[seed])`` over ``sqrt(diag * diag[seed])``) to rounding, and
     moves half the bytes. The product is taken one block of 1024 voxels
-    at a time: on the shapes tested that gives the bits of one product
-    over all of ``R``, and at 128 x 28 257 it reads ``R`` about 1.6 times
-    as fast (one OpenBLAS thread). A partial factor loaded from disk or built
-    directly has no operand, and reads the row from ``W``. The seed must be an
-    integer voxel index below the voxel count (else a ValidationError
-    names it). Coherence tags report magnitudes (seed entry exactly 1);
-    lagged tags zero the row's seed entry before :func:`lagged_measure`,
-    which maps it to exactly 0 (no self-lag).
+    at a time, which on the shapes tested gives the bits of one product
+    over all of ``R`` (another BLAS build may differ in the last bits). A
+    partial factor loaded from disk or built directly has no operand, and
+    reads the row from ``W``. The seed must be an integer voxel index
+    below the voxel count (else a ValidationError names it). Coherence
+    tags report magnitudes (seed entry exactly 1); lagged tags zero the
+    row's seed entry before :func:`lagged_measure`, which maps it to
+    exactly 0 (no self-lag).
     """
     _check_measure(measure)
     expected = ConnectivityFactor if measure.startswith("partial") else ClassicalField

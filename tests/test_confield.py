@@ -1,5 +1,6 @@
 """Connectivity fields: classical route, partial route, maps, diagnostics."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -360,6 +361,53 @@ class TestLaggedMeasure:
         values = lagged_measure(np.array([0.9999999j, 0.1 + 0.9j]))
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
+    def test_reused_buffers_give_the_plain_expressions_bits(self):
+        rng = np.random.default_rng(33)
+        radius = rng.uniform(0.0, 1.0, 3000)
+        row = radius * np.exp(1j * rng.uniform(-np.pi, np.pi, radius.size))
+        # edge is the smallest real part whose square is degenerate
+        edge = math.sqrt(1.0 - confield.DEGENERATE_TOL)
+        while edge * edge < 1.0 - confield.DEGENERATE_TOL:
+            edge = math.nextafter(edge, 2.0)
+        below = math.nextafter(edge, 0.0)
+        row[:12] = [
+            0.0, -0.0, 1.0, -1.0, complex(1.0, 1e-7), complex(edge, 1e-9),
+            complex(-edge, 0.0), complex(below, 1e-7), complex(-below, 1e-7),
+            1.0 + confield.MAGNITUDE_TOL, complex(0.0, 1.0 + confield.MAGNITUDE_TOL),
+            complex(0.6, 0.8),
+        ]
+        rng.shuffle(row)
+        before = row.copy()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = lagged_measure(row)
+        assert row.tobytes() == before.tobytes()  # the caller's array is untouched
+        real_sq = row.real**2
+        degenerate = real_sq >= 1.0 - confield.DEGENERATE_TOL
+        denominator = np.where(degenerate, 1.0, 1.0 - real_sq)
+        plain = np.sqrt(row.imag**2 / denominator)
+        plain = np.where(degenerate, 0.0, np.minimum(plain, 1.0))
+        assert values.tobytes() == plain.tobytes()
+        assert np.count_nonzero(degenerate) == 6 and values.max() == 1.0
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [(
+            RuntimeWarning,
+            "instantaneous coherence saturates the lagged measure; reporting 0",
+            __file__,
+        )]
+
+    @pytest.mark.parametrize(
+        "scalar", [0.5 + 0.5j, np.complex128(0.5 + 0.5j), np.array(0.5 + 0.5j), 0.25]
+    )
+    def test_a_scalar_gives_a_float(self, scalar):
+        value = lagged_measure(scalar)
+        assert type(value) is float
+        assert value == float(np.sqrt(np.imag(scalar) ** 2 / (1.0 - np.real(scalar) ** 2)))
+
+    def test_the_refusal_message_is_unchanged(self):
+        message = r"^coherence magnitudes must be finite and at most 1 \(largest 1\.5\)$"
+        with pytest.raises(ValidationError, match=message):
+            lagged_measure(np.array([0.2, -1.5j, 0.1]))
+
 
 @pytest.fixture(scope="module")
 def instance():
@@ -601,6 +649,18 @@ class TestSeededMapValidation:
     def test_coherence_tag_requires_unit_seed(self):
         with pytest.raises(ValidationError):
             SeededMap(seed=0, values=np.array([0.4, 0.2]), measure="partial_coh")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_non_finite_values_keep_their_message(self, bad, seed):
+        values = np.array([0.1, 0.5, bad, 0.2])
+        with pytest.raises(ValidationError, match=r"^map contains non-finite values$"):
+            SeededMap(seed=seed, values=values, measure="partial_lagged")
+
+    def test_the_range_message_is_unchanged(self):
+        message = r"^map values outside \[0, 1\]: range \[-0\.25, 0\.5\]$"
+        with pytest.raises(ValidationError, match=message):
+            SeededMap(seed=None, values=np.array([0.5, -0.25, 0.0]), measure="partial_lagged")
 
 
 class TestReflexiveResiduals:

@@ -258,7 +258,39 @@ class TestVoxelIds:
         )
 
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        ["seeded_map", "classical_map", "pairwise_partial", "connectivity_maps", "SeededMap"],
+    )
+    def test_a_bool_is_not_a_voxel_id(self, sources, call, flag):
+        # a Python bool is an int subclass, but True is not voxel 1
+        gain, spectrum, factor, field = sources
+        calls = {
+            "seeded_map": ("seed", lambda: seeded_map(factor, flag, "partial_lagged")),
+            "classical_map": ("seed", lambda: seeded_map(field, flag, "classical_coh")),
+            "pairwise_partial": ("voxel", lambda: pairwise_partial(gain, spectrum, flag, 3)),
+            "connectivity_maps": (
+                "seed", lambda: connectivity_maps(gain, spectrum, "partial_lagged", [flag, 5])
+            ),
+            "SeededMap": (
+                "seed", lambda: SeededMap(seed=flag, values=np.ones(6), measure="partial_coh")
+            ),
+        }
+        name, taker = calls[call]
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {flag!r}$"):
+            taker()
+
+
 class TestSimulationCounts:
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize(
+        "name", ["n_epochs", "n_samples", "bio_noise_count", "seed"]
+    )
+    def test_a_bool_is_not_a_count(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value}$"):
+            SimulationConfig(**{name: value})
+
     @pytest.mark.parametrize("value", [math.nan, 2.5, 10.0, "10"])
     @pytest.mark.parametrize(
         "name", ["n_epochs", "n_samples", "bio_noise_count", "seed"]
@@ -280,6 +312,17 @@ class TestSimulationVoxelIds:
             SimulationConfig(source_voxels=pair)
         with pytest.raises(ValidationError, match="source_voxels must be an integer"):
             GroundTruth(source_voxels=pair, bio_voxels=(), source_series=np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("pair", [(True, 5), (5, False)])
+    def test_a_bool_is_not_a_source_voxel(self, pair):
+        flag = next(value for value in pair if isinstance(value, bool))
+        message = f"^source_voxels must be an integer, got {flag}$"
+        with pytest.raises(ValidationError, match=message):
+            SimulationConfig(source_voxels=pair)
+        with pytest.raises(ValidationError, match=message):
+            GroundTruth(source_voxels=pair, bio_voxels=(), source_series=np.zeros((1, 2, 2)))
+        with pytest.raises(ValidationError, match="^bio_voxels must be an integer, got True$"):
+            GroundTruth(source_voxels=(1, 2), bio_voxels=(True,), source_series=np.zeros((1, 2, 2)))
 
     @pytest.mark.parametrize("ids", [(1, 2, 3), (1,), 5])
     def test_source_voxels_need_exactly_two_ids(self, ids):

@@ -11,6 +11,7 @@ writing to a caller's array afterwards must move nothing.
 
 import dataclasses
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -338,3 +339,73 @@ def test_load_factor_freezes_the_matrix_it_read_in_place(tmp_path, monkeypatch):
     loaded = load_factor(tmp_path / "factor.pcf")
     assert loaded.W is read[0] and not loaded.W.flags.writeable
     assert np.array_equal(loaded.W, factor.W)
+
+
+def whole_operand_row(rows, seed):
+    """A built field's seed row as one product over its whole operand."""
+    mixed = rows.mixer @ np.conj(rows.operand[:, seed] @ rows.mixer)
+    mixed *= rows.scale[seed]
+    parts = mixed.view(np.float64).reshape(-1, 2).T @ rows.operand
+    row = np.empty(parts.shape[1], dtype=np.complex128)
+    row.real, row.imag = parts * rows.scale
+    return row
+
+
+@pytest.mark.parametrize("n_voxels", [1, 1023, 1024, 1025, 2049, 3079])
+def test_blocked_seed_rows_equal_one_product_over_the_operand(n_voxels, monkeypatch):
+    rng = np.random.default_rng(n_voxels)
+    n_electrodes = 7
+    spectrum = random_pd(rng, n_electrodes)
+    inverse = rng.standard_normal((n_voxels, n_electrodes))
+    sources = [
+        classical_field(inverse, spectrum),
+        classical_field(np.asfortranarray(inverse), spectrum),
+    ]
+    assert sources[1].inverse.flags.f_contiguous
+    if n_voxels >= n_electrodes:
+        gain = random_gain(rng, n_electrodes, n_voxels)
+        sources.append(partial_field(gain, spectrum))
+        # and a partial factor of rank 3, from a rank-deficient spectrum
+        sources.append(partial_field(gain, spectrum_with(rng, n_electrodes, 3, 2.0)))
+    blocks = []
+    every_block = confield._row_blocks
+
+    def recording(n_rows):
+        for start, stop in every_block(n_rows):
+            blocks.append(stop - start)
+            yield start, stop
+
+    monkeypatch.setattr(confield, "_row_blocks", recording)
+    for source in sources:
+        for seed in sorted({0, n_voxels // 2, n_voxels - 1}):
+            blocks.clear()
+            row = source._rows(seed)
+            assert row.tobytes() == whole_operand_row(source._rows, seed).tobytes()
+            assert sum(blocks) == n_voxels
+            # numpy takes a one-voxel product with a vector kernel: no block is one voxel
+            assert min(blocks) > 1 or n_voxels == 1
+
+
+@pytest.mark.parametrize("method", ["partial", "classical"])
+def test_a_lagged_seeded_map_peaks_under_five_voxel_vectors(method):
+    # the complex row is two voxel vectors and the map one; the lagged
+    # measure's steps reuse one more buffer instead of a fresh one each
+    rng = np.random.default_rng(27)
+    leadfield = synth_leadfield(builtin_1020_electrodes(), spherical_grid(0.07))
+    spectrum = CrossSpectrum(matrix=random_pd(rng, 19), frequency=10.0, n_epochs=1)
+    if method == "partial":
+        source = partial_field(leadfield, spectrum)
+    else:
+        source = classical_field(min_norm_inverse(leadfield), spectrum)
+    measure = f"{method}_lagged"
+    seeded_map(source, 5, measure)  # the first map caches the dead-voxel check
+    tracemalloc.start()
+    try:
+        mapped = seeded_map(source, 100, measure)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mapped.n_voxels == leadfield.n_voxels == 7497
+    vectors = peak / (8 * leadfield.n_voxels)
+    assert vectors < 5.0, f"peak of {vectors:.2f} voxel float64 vectors"
+
