@@ -40,6 +40,7 @@ from .forward import (
     _full_rank_gain,
     _integer,
     _inverse_matrix,
+    _mapped_empty,
     gain_fingerprint,
     min_norm_inverse,
     read_manifest,
@@ -319,7 +320,7 @@ class SeededMap:
             if self.measure.endswith("_coh") and abs(values[seed] - 1.0) > MAGNITUDE_TOL:
                 raise ValidationError("seed self-coherence must be 1")
             object.__setattr__(self, "seed", seed)
-        values = np.clip(values, 0.0, 1.0)
+        values = np.clip(values, 0.0, 1.0, out=_mapped_empty(values.shape))
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

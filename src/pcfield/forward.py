@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 import operator
 import os
 import struct
@@ -400,6 +401,37 @@ def gain_fingerprint(gain: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+#: An array of at least this many bytes from :func:`_mapped_empty` gets a
+#: page mapping of its own: glibc's malloc starts at the same threshold,
+#: but raises it to the size of each mapped block freed (up to 32 MiB).
+_MAPPED_MIN_BYTES = 128 * 1024
+
+#: From this size on a mapping is offered huge pages, as numpy offers them.
+_HUGE_PAGE_BYTES = 4 * 1024 * 1024
+
+
+def _mapped_empty(shape) -> np.ndarray:
+    """An uninitialised float64 array, in its own page mapping when large.
+
+    For a gain, an inverse or a map, which callers hold and drop in bulk.
+    On the C heap such an array's memory stays with the process when it is
+    dropped, and a later large array reuses it only where it fits between
+    blocks still held; so how much memory a run peaks at came to depend on
+    where earlier arrays had landed (55 MB between two runs of one dense
+    workload). A private mapping goes back to the system when the array is
+    dropped. Below ``_MAPPED_MIN_BYTES``, or where ``mmap`` has no private
+    mappings, this is ``np.empty``.
+    """
+    shape = tuple(shape)
+    nbytes = 8 * math.prod(shape)
+    if nbytes < _MAPPED_MIN_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty(shape)
+    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if nbytes >= _HUGE_PAGE_BYTES and hasattr(mmap, "MADV_HUGEPAGE"):
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, dtype=np.float64).reshape(shape)
+
+
 def synth_leadfield(electrodes: ElectrodeArray, voxels: VoxelGrid) -> LeadField:
     """Inverse-distance gain matrix for the synthetic spherical model.
 
@@ -416,7 +448,7 @@ def synth_leadfield(electrodes: ElectrodeArray, voxels: VoxelGrid) -> LeadField:
     # squares in this order, so each row has the bits of
     # norm(positions - p, axis=1).
     x, y, z = voxels.positions.T
-    distances = np.empty((len(electrodes), len(voxels)))
+    distances = _mapped_empty((len(electrodes), len(voxels)))
     for row, (ex, ey, ez) in zip(distances, electrodes.positions.tolist()):
         dx, dy, dz = x - ex, y - ey, z - ez
         np.sqrt(dx * dx + dy * dy + dz * dz, out=row)
@@ -582,7 +614,9 @@ def _right_inverse(gain: np.ndarray, weighted_gain: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
         else:
-            matrix = ((root_inverse.T @ root_inverse) @ weighted_gain).T
+            small_inverse = root_inverse.T @ root_inverse
+            product = _mapped_empty(weighted_gain.shape)
+            matrix = np.matmul(small_inverse, weighted_gain, out=product).T
             if _identity_defect(gain, matrix) <= 1e-8:
                 return matrix
     try:

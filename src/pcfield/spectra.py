@@ -14,6 +14,7 @@ the same inputs, numpy/BLAS build and BLAS thread count give the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -53,7 +54,8 @@ class EpochedRecording:
             raise DimensionError("need at least one epoch and one channel")
         if n_samples < 2:
             raise DimensionError("need at least two samples per epoch")
-        if not np.all(np.isfinite(data)):
+        # one min and one max (NaN propagates): no bool copy of the epochs
+        if not (math.isfinite(data.min()) and math.isfinite(data.max())):
             raise ValidationError("epoch data contains non-finite values")
         if not (np.isfinite(self.rate) and self.rate > 0):
             raise ValidationError(f"sampling rate must be positive, got {self.rate}")
