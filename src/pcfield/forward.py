@@ -406,7 +406,8 @@ def gain_fingerprint(gain: np.ndarray) -> str:
 #: but raises it to the size of each mapped block freed (up to 32 MiB).
 _MAPPED_MIN_BYTES = 128 * 1024
 
-#: From this size on a mapping is offered huge pages, as numpy offers them.
+#: From this size on a mapping is offered huge pages, as numpy offers them;
+#: a smaller one is populated when it is made.
 _HUGE_PAGE_BYTES = 4 * 1024 * 1024
 
 
@@ -419,17 +420,22 @@ def _mapped_empty(shape) -> np.ndarray:
     blocks still held; so how much memory a run peaks at came to depend on
     where earlier arrays had landed (55 MB between two runs of one dense
     workload). A private mapping goes back to the system when the array is
-    dropped. Below ``_MAPPED_MIN_BYTES``, or where ``mmap`` has no private
-    mappings, this is ``np.empty``.
+    dropped. A small mapping is populated in one call, not one page fault
+    per page: a map of 28 257 voxels cost the same as on the heap, against
+    3% more unpopulated. Below ``_MAPPED_MIN_BYTES``, or where ``mmap`` has
+    no private mappings, this is ``np.empty``.
     """
     shape = tuple(shape)
     nbytes = 8 * math.prod(shape)
     if nbytes < _MAPPED_MIN_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
         return np.empty(shape)
+    if nbytes < _HUGE_PAGE_BYTES:
+        flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+        return np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), np.float64).reshape(shape)
     pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    if nbytes >= _HUGE_PAGE_BYTES and hasattr(mmap, "MADV_HUGEPAGE"):
+    if hasattr(mmap, "MADV_HUGEPAGE"):
         pages.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(pages, dtype=np.float64).reshape(shape)
+    return np.frombuffer(pages, np.float64).reshape(shape)
 
 
 def synth_leadfield(electrodes: ElectrodeArray, voxels: VoxelGrid) -> LeadField:
