@@ -296,7 +296,8 @@ class SeededMap:
     """One row of a connectivity field, as nonnegative display values.
 
     ``seed`` is ``None`` for composites built by :func:`max_over_seeds`.
-    Values are clipped into [0, 1] after validation.
+    Values are clipped into [0, 1] after validation, into an array of
+    their own (a page mapping from 128 KiB, see ``forward._mapped_empty``).
     """
 
     seed: int | None
