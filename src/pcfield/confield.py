@@ -56,6 +56,7 @@ from .forward import (
 )
 from .matcore import (
     ReflexiveCheck,
+    _frozen,
     _relative_residual,
     as_hermitian,
     is_reflexive_ginverse,
@@ -176,13 +177,6 @@ def _row_blocks(n_rows: int):
         start = stop
 
 
-def _frozen(array, dtype, fresh: bool) -> np.ndarray:
-    """``array`` as a read-only ``dtype`` array: a copy, or itself when ``fresh``."""
-    frozen = np.array(array, dtype=dtype, copy=None if fresh else True)
-    frozen.setflags(write=False)
-    return frozen
-
-
 @dataclass(frozen=True)
 class ConnectivityFactor:
     """Low-rank square root ``W`` of the partial coherence field.
@@ -256,7 +250,7 @@ class ClassicalField:
 
     def __post_init__(self):
         matrix = _inverse_matrix(self.inverse)
-        root = _frozen(self.root, np.complex128, fresh=False)
+        root = _frozen(self.root, np.complex128)
         if root.ndim != 2 or root.shape[0] != matrix.shape[1]:
             raise DimensionError(
                 f"range factor of shape {root.shape} does not match an inverse "
@@ -267,10 +261,9 @@ class ClassicalField:
         variances = _by_row_blocks(
             matrix, lambda block: _squared_row_norms(_real_times_complex(block, root))
         )
-        variances.setflags(write=False)
         object.__setattr__(self, "inverse", matrix)
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "diag", variances)
+        object.__setattr__(self, "diag", _frozen(variances, np.float64, fresh=True))
         rows = _SeedRows(matrix.T, root, _reciprocal_sqrt(variances))
         object.__setattr__(self, "_rows", rows)
 
@@ -286,9 +279,7 @@ class ClassicalField:
     @cached_property
     def dead_voxels(self) -> np.ndarray:
         """Indices with zero source variance (excluded from coherence)."""
-        dead = np.flatnonzero(self.diag == 0.0)
-        dead.setflags(write=False)
-        return dead
+        return _frozen(np.flatnonzero(self.diag == 0.0), np.intp, fresh=True)
 
 
 @dataclass(frozen=True)
@@ -321,9 +312,8 @@ class SeededMap:
             if self.measure.endswith("_coh") and abs(values[seed] - 1.0) > MAGNITUDE_TOL:
                 raise ValidationError("seed self-coherence must be 1")
             object.__setattr__(self, "seed", seed)
-        values = np.clip(values, 0.0, 1.0, out=_mapped_empty(values.shape))
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        clipped = np.clip(values, 0.0, 1.0, out=_mapped_empty(values.shape))
+        object.__setattr__(self, "values", _frozen(clipped, np.float64, fresh=True))
 
     @property
     def n_voxels(self) -> int:

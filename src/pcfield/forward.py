@@ -51,7 +51,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .matcore import RANK_TOL
+from .matcore import RANK_TOL, _frozen
 
 #: Scalp sphere radius is 1; sources must stay strictly inside this radius.
 CORTEX_RADIUS = 0.85
@@ -79,7 +79,7 @@ class ElectrodeArray:
     positions: np.ndarray  # (n_electrodes, 3), unit norm
 
     def __post_init__(self):
-        positions = np.array(self.positions, dtype=np.float64)
+        positions = _frozen(self.positions, np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise DimensionError("electrode positions must be (n, 3)")
         if positions.shape[0] == 0:
@@ -91,7 +91,6 @@ class ElectrodeArray:
         norms = np.linalg.norm(positions, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValidationError("electrode positions must be unit norm")
-        positions.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "positions", positions)
 
@@ -118,7 +117,7 @@ class VoxelGrid:
     spacing: float
 
     def __post_init__(self):
-        positions = np.array(self.positions, dtype=np.float64, order="F")
+        positions = _frozen(self.positions, np.float64, order="F")
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise DimensionError("voxel positions must be (n, 3)")
         if positions.shape[0] == 0:
@@ -129,7 +128,6 @@ class VoxelGrid:
             raise ValidationError(f"spacing must be finite and > 0, got {self.spacing}")
         if np.unique(positions, axis=0).shape[0] != positions.shape[0]:
             raise ValidationError("voxel grid contains duplicate positions")
-        positions.setflags(write=False)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "spacing", float(self.spacing))
 
@@ -365,7 +363,7 @@ class LeadField:
     _fresh: InitVar[bool] = False
 
     def __post_init__(self, _fresh):
-        gain = _full_rank_gain(self.gain, copy=not _fresh)
+        gain = _full_rank_gain(self.gain, fresh=_fresh)
         if gain.shape != (len(self.electrodes), len(self.voxels)):
             raise DimensionError(
                 f"gain shape {gain.shape} does not match geometry "
@@ -493,7 +491,11 @@ class InverseOperator:
     _fresh: InitVar[bool] = False
 
     def __post_init__(self, _fresh):
-        matrix = _inverse_matrix(self.matrix, copy=not _fresh)
+        matrix = _frozen(self.matrix, np.float64, _fresh)
+        if matrix.ndim != 2:
+            raise DimensionError("inverse operator must be a 2-d matrix")
+        if not np.all(np.isfinite(matrix)):
+            raise ValidationError("inverse operator contains non-finite entries")
         object.__setattr__(self, "matrix", matrix)
 
 
@@ -510,17 +512,15 @@ def _integer(name: str, value) -> int:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _full_rank_gain(leadfield, copy: bool = True) -> np.ndarray:
+def _full_rank_gain(leadfield, fresh: bool = False) -> np.ndarray:
     """The gain of a LeadField, or an array checked as LeadField checks it.
 
-    An array is copied (C order, read-only), so the result never shares
-    memory with the caller's buffer; ``copy=False`` skips the copy for an
-    array no caller holds.
+    An array is kept as :func:`~pcfield.matcore._frozen` keeps it, in C
+    order: a copy, or with ``fresh`` the array itself.
     """
     if isinstance(leadfield, LeadField):
         return leadfield.gain
-    gain = np.array(leadfield, dtype=np.float64, order="C", copy=True if copy else None)
-    gain.setflags(write=False)
+    gain = _frozen(leadfield, np.float64, fresh, order="C")
     if gain.ndim != 2 or gain.size == 0:
         raise DimensionError("gain must be a nonempty 2-d matrix")
     if not np.all(np.isfinite(gain)):
@@ -568,24 +568,15 @@ def _gram_screen_passes(gain: np.ndarray) -> bool:
         return bool(np.all(np.isfinite(factor)))
 
 
-def _inverse_matrix(
-    inverse, gain: np.ndarray | None = None, copy: bool = True
-) -> np.ndarray:
-    """``T`` of an InverseOperator or a finite 2-d array, shaped to ``gain`` if given.
+def _inverse_matrix(inverse, gain: np.ndarray | None = None) -> np.ndarray:
+    """``T`` of an InverseOperator, shaped to ``gain`` if given.
 
-    An array is copied in its own memory order and made read-only, so the
-    result never shares memory with the caller's buffer; ``copy=False``
-    skips the copy for an array no caller holds.
+    An array is wrapped in an InverseOperator first, so it meets that
+    type's checks and the result is a read-only copy.
     """
-    if isinstance(inverse, InverseOperator):
-        matrix = inverse.matrix
-    else:
-        matrix = np.array(inverse, dtype=np.float64, copy=True if copy else None)
-        matrix.setflags(write=False)
-        if matrix.ndim != 2:
-            raise DimensionError("inverse operator must be a 2-d matrix")
-        if not np.all(np.isfinite(matrix)):
-            raise ValidationError("inverse operator contains non-finite entries")
+    if not isinstance(inverse, InverseOperator):
+        inverse = InverseOperator(matrix=inverse)
+    matrix = inverse.matrix
     if gain is not None and matrix.shape != gain.T.shape:
         raise DimensionError(
             f"inverse shape {matrix.shape} does not match gain {gain.shape}"

@@ -37,14 +37,29 @@ REFLEXIVE_TOL = 1e-8
 HERMITIAN_RTOL = 1e-12
 
 
+def _frozen(array, dtype, fresh: bool = False, order: str = "K") -> np.ndarray:
+    """``array`` as a read-only ``dtype`` array in memory ``order``.
+
+    The one ownership rule of every value type that keeps an array: an
+    array a caller passes is copied, so it stays writable and a later write
+    to it moves nothing; one a builder has just made and no caller holds is
+    handed over as ``fresh`` and frozen in place (copied only where
+    ``dtype`` or ``order`` require it).
+    """
+    frozen = np.array(array, dtype=dtype, order=order, copy=None if fresh else True)
+    frozen.setflags(write=False)
+    return frozen
+
+
 class HermitianMatrix:
     """Complex square matrix with conjugate symmetry.
 
     Construction always checks ``max|S - S*| <= HERMITIAN_RTOL * max|S|``,
     a bound that scales with the data units, and then stores the exact
     symmetrization ``(S + S*) / 2``, so the stored diagonal is exactly real.
-    ``entries`` is a square matrix, real or complex. The underlying array
-    is frozen; use :attr:`values` to read it.
+    ``entries`` is a square matrix, real or complex, and is only read. The
+    stored array is read-only; :attr:`values` and ``np.asarray`` give it as
+    it is, ``np.array(matrix)`` gives a writable copy.
     """
 
     __slots__ = ("_values",)
@@ -57,7 +72,7 @@ class HermitianMatrix:
             )
         if values.shape[0] == 0:
             raise DimensionError("empty matrix (dim 0)")
-        values = values.astype(np.complex128, copy=True)
+        values = values.astype(np.complex128, copy=False)
         if not np.all(np.isfinite(values)):
             raise ValidationError("matrix contains non-finite entries")
         asymmetry = float(np.max(np.abs(values - values.conj().T)))
@@ -67,9 +82,7 @@ class HermitianMatrix:
                 f"matrix is not Hermitian: max|S - S*| = {asymmetry:.3e} "
                 f"exceeds {bound:.3e}"
             )
-        symmetrized = (values + values.conj().T) / 2.0
-        symmetrized.setflags(write=False)
-        self._values = symmetrized
+        self._values = _frozen((values + values.conj().T) / 2.0, np.complex128, fresh=True)
 
     @property
     def dim(self) -> int:
@@ -81,9 +94,7 @@ class HermitianMatrix:
         return self._values
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self._values
-        return self._values.astype(dtype)
+        return np.array(self._values, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
@@ -107,12 +118,17 @@ class EigenDecomposition:
 
     ``eigenvalues`` is real and nonincreasing; entries whose magnitude fell
     at or below the rank tolerance were forced to exactly zero, and ``rank``
-    counts the survivors. ``eigenvectors`` has unit-norm columns.
+    counts the survivors. ``eigenvectors`` has unit-norm columns. Both are
+    kept as read-only copies, so no write moves a whitener built from them.
     """
 
     eigenvectors: np.ndarray
     eigenvalues: np.ndarray
     rank: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigenvectors", _frozen(self.eigenvectors, np.complex128))
+        object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues, np.float64))
 
     def reconstruct(self) -> np.ndarray:
         """Return ``vectors @ diag(values) @ vectors*``."""
@@ -142,8 +158,7 @@ def hermitian_eig(matrix) -> EigenDecomposition:
     """
     hermitian = as_hermitian(matrix)
     eigvals, eigvecs = np.linalg.eigh(hermitian.values)
-    eigvals = eigvals[::-1].copy()
-    eigvecs = eigvecs[:, ::-1].copy()
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]  # EigenDecomposition copies
     scale = float(np.max(np.abs(eigvals)))
     negligible = np.abs(eigvals) <= RANK_TOL * scale
     eigvals[negligible] = 0.0

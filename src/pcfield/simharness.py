@@ -33,6 +33,7 @@ from .forward import (
     write_all,
     write_table,
 )
+from .matcore import _frozen
 from .spectra import EpochedRecording, band_cross_spectrum
 
 #: Analysis band of the reference experiment, Hz.
@@ -94,7 +95,10 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """What the generator actually did, for scoring against."""
+    """What the generator actually did, for scoring against.
+
+    ``source_series`` is a read-only copy of the array given.
+    """
 
     source_voxels: tuple[int, int]
     bio_voxels: tuple[int, ...]
@@ -107,10 +111,9 @@ class GroundTruth:
         bio = tuple(_integer("bio_voxels", v) for v in self.bio_voxels)
         if set(bio) & set(pair):
             raise ValidationError("bio-noise voxels must exclude the source voxels")
-        series = np.asarray(self.source_series, dtype=np.float64)
+        series = _frozen(self.source_series, np.float64)
         if series.ndim != 3 or series.shape[2] != 2:
             raise ValidationError("source series must be (n_epochs, n_samples, 2)")
-        series.setflags(write=False)
         object.__setattr__(self, "source_voxels", pair)
         object.__setattr__(self, "bio_voxels", bio)
         object.__setattr__(self, "source_series", series)
@@ -196,7 +199,7 @@ def simulate_eeg(cfg: SimulationConfig, leadfield: LeadField):
         ) @ leadfield.gain[:, bio_voxels].T
 
     recording = EpochedRecording(
-        data=data, rate=cfg.rate, labels=leadfield.electrodes.labels
+        data=data, rate=cfg.rate, labels=leadfield.electrodes.labels, _fresh=True
     )
     truth = GroundTruth(
         source_voxels=sources,

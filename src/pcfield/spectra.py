@@ -15,7 +15,7 @@ the same inputs, numpy/BLAS build and BLAS thread count give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -25,6 +25,7 @@ from .forward import read_table, write_lines
 from .matcore import (
     EigenDecomposition,
     HermitianMatrix,
+    _frozen,
     _hermitian_part,
     as_hermitian,
     psd_eig,
@@ -36,15 +37,18 @@ class EpochedRecording:
     """Multichannel epochs, indexed (epoch, sample, channel).
 
     ``labels`` is optional channel naming carried through CSV round-trips;
-    it never affects the numerics.
+    it never affects the numerics. ``data`` is a read-only copy of the array
+    given; ``simulate_eeg`` and :func:`read_epochs_csv` hand over the array
+    they just made (``_fresh``), which is frozen in place, not copied.
     """
 
     data: np.ndarray  # (n_epochs, n_samples, n_channels)
     rate: float
     labels: tuple[str, ...] | None = None
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+    def __post_init__(self, _fresh):
+        data = _frozen(self.data, np.float64, _fresh)
         if data.ndim != 3:
             raise DimensionError(
                 f"epoch data must be 3-d (epoch, sample, channel), got {data.ndim}-d"
@@ -68,7 +72,6 @@ class EpochedRecording:
             if len(set(labels)) != len(labels):
                 raise ValidationError("channel labels must be unique")
             object.__setattr__(self, "labels", labels)
-        data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "rate", float(self.rate))
 
@@ -264,4 +267,4 @@ def read_epochs_csv(path, rate: float) -> EpochedRecording:
         )
     data = np.array([r[2:] for r in rows], dtype=np.float64)
     data = data.reshape(n_epochs, n_samples, len(header) - 2)
-    return EpochedRecording(data=data, rate=rate, labels=tuple(header[2:]))
+    return EpochedRecording(data=data, rate=rate, labels=tuple(header[2:]), _fresh=True)

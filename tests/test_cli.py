@@ -92,6 +92,19 @@ class TestLeadfieldCommand:
         out = capsys.readouterr().out
         assert "full row rank 19" in out
 
+    def test_runs_no_svd(self, tmp_path, monkeypatch, capsys):
+        # the rank screen accepts the gain; the report needs no spectrum of it
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        lf = tmp_path / "lf.pcf"
+        assert run_cli("leadfield", "--builtin-1020", "--grid", 0.2, "--out", lf) == 0
+        n_voxels = len(spherical_grid(0.2))
+        assert capsys.readouterr().out == (
+            f"lead field 19 x {n_voxels}: full row rank 19\nwrote {lf}\n"
+        )
+
     def test_geometry_sidecars_written(self, pipeline):
         assert (pipeline["root"] / "lf.electrodes.csv").is_file()
         assert (pipeline["root"] / "lf.voxels.csv").is_file()

@@ -223,6 +223,12 @@ def pseudo_inverse_field(inverse, spectrum):
     return pseudo * np.outer(scale, scale)
 
 
+def map_values(gain, spectrum, measure, seeds):
+    """:func:`connectivity_maps`' maps, then its composite, as rows of one array."""
+    _, maps, composite = connectivity_maps(gain, spectrum, measure, seeds)
+    return np.array([entry.values for entry in (*maps, composite)])
+
+
 class TestFieldInvariances:
     @given(
         st.floats(min_value=-6.0, max_value=6.0),
@@ -265,6 +271,43 @@ class TestFieldInvariances:
         spectrum = 10.0**log_s * conditioned_pd(rng, n_electrodes, 10.0**log_condition)
         oracle = pseudo_inverse_field(min_norm_inverse(gain), spectrum)
         assert np.max(np.abs(oracle - implied_field(gain, spectrum))) <= 1e-10
+
+    # T S T' of the minimum-norm T is unchanged by an electrode relabelling
+    # and only scales with K and S, so the normalized classical maps are not
+    # moved by either.
+    @given(
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_min_norm_classical_maps_are_scale_and_relabel_invariant(self, log_s, log_k, seed):
+        rng = np.random.default_rng(seed)
+        gain = random_gain(rng, 5, 16)
+        spectrum = random_pd(rng, 5)
+        channels = rng.permutation(5)
+        for measure in ("classical_coh", "classical_lagged"):
+            maps = map_values(gain, spectrum, measure, range(16))
+            scaled = map_values(10.0**log_k * gain, 10.0**log_s * spectrum, measure, range(16))
+            relabelled = map_values(
+                gain[channels], spectrum[np.ix_(channels, channels)], measure, range(16)
+            )
+            assert np.max(np.abs(scaled - maps)) <= 1e-10
+            assert np.max(np.abs(relabelled - maps)) <= 1e-10
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_connectivity_maps_permute_with_the_voxels(self, seed):
+        rng = np.random.default_rng(seed)
+        gain = random_gain(rng, 5, 16)
+        spectrum = random_pd(rng, 5)
+        order = rng.permutation(16)  # voxel j of the permuted grid is voxel order[j]
+        seeds = rng.choice(16, size=4, replace=False)
+        relabelled = np.argsort(order)[seeds]
+        for measure in confield.MEASURES:
+            maps = map_values(gain, spectrum, measure, seeds)
+            permuted = map_values(gain[:, order], spectrum, measure, relabelled)
+            assert np.max(np.abs(permuted - maps[:, order])) <= 1e-10
 
     def test_weighted_pseudo_inverse_depends_on_the_weights(self):
         # the pseudo-inverse route is tied to its inverse; the field is not
