@@ -8,9 +8,10 @@ the lead field and the (pseudo-)inverted sensor cross-spectrum, which is
 the quantity whose off-diagonal structure survives common-source mixing.
 
 Everything is held in factored form. The implied voxel-by-voxel matrices
-``T S T'`` and ``W W*`` are never materialized, and the classical field
-keeps no voxels x rank factor at all: it holds ``T`` and the range factor
-of ``S``. A seed's map is one normalized column of ``K' S+ K`` (partial)
+``T S T'`` and ``W W*`` are never materialized, and neither field keeps a
+voxels x rank factor: the classical field holds ``T`` and the range factor
+of ``S``, a built partial factor ``K``, the whitener of ``S`` and its row
+norms. A seed's map is one normalized column of ``K' S+ K`` (partial)
 or ``T S T'`` (classical), read from the real operand ``K`` or ``T'``
 rather than a complex thin factor: an electrode-sized complex vector, then
 one real product per block of 1024 voxels of the operand, which is half
@@ -38,7 +39,6 @@ from .forward import (
     LeadField,
     VoxelGrid,
     _full_rank_gain,
-    _integer,
     _inverse_matrix,
     _mapped_empty,
     gain_fingerprint,
@@ -57,6 +57,7 @@ from .forward import (
 from .matcore import (
     ReflexiveCheck,
     _frozen,
+    _integer,
     _relative_residual,
     as_hermitian,
     is_reflexive_ginverse,
@@ -178,23 +179,63 @@ def _row_blocks(n_rows: int):
 
 
 @dataclass(frozen=True)
+class _Whitened:
+    """A built factor's operands: the gain, the whitener and the row norms.
+
+    ``W`` is ``(K' Gamma+ Lambda+^(-1/2)) / norms``; :meth:`unit_rows`
+    forms it as :func:`partial_field` once did, bit for bit.
+    """
+
+    gain: np.ndarray  # (n_electrodes, n_voxels) real
+    whitener: np.ndarray  # (n_electrodes, effective_rank) complex
+    norms: np.ndarray  # (n_voxels,) real
+
+    def unit_rows(self) -> np.ndarray:
+        pulled_back = _real_times_complex(self.gain.T, self.whitener)
+        pulled_back /= self.norms[:, None]
+        return pulled_back
+
+
+class _FactorMatrix:
+    """``ConnectivityFactor.W``: the matrix a factor holds, or its built operands'.
+
+    A dataclass field whose default is a descriptor is set and read through
+    it. Read on the class, it raises AttributeError, so ``W`` keeps no
+    default and stays a required field.
+    """
+
+    def __get__(self, factor, owner=None):
+        if factor is None:
+            raise AttributeError("W")
+        held = vars(factor)["W"]
+        return held.unit_rows() if isinstance(held, _Whitened) else held
+
+    def __set__(self, factor, value):
+        vars(factor)["W"] = value
+
+
+@dataclass(frozen=True)
 class ConnectivityFactor:
     """Low-rank square root ``W`` of the partial coherence field.
 
     The implied field is ``P = W W*`` with unit diagonal; each row of ``W``
-    has unit norm by construction. ``effective_rank`` is the rank of the
-    sensor cross-spectrum the factor was built from and the column count
-    of ``W``; ``fingerprint`` ties the factor to the gain matrix it
-    belongs to. ``W`` is a read-only copy of the array given, so a later
-    write to the caller's array moves no map; :func:`partial_field` and
-    :func:`load_factor` hand over the array they just made (``_fresh``),
-    which is frozen in place. A factor reads its seed rows from ``W``,
-    except that :func:`partial_field` points ``_rows`` at the gain it
-    built ``W`` from; ``dataclasses.replace`` drops that, so a copy with a
-    new ``W`` reads its own.
+    has unit norm. ``effective_rank`` is the rank of the sensor
+    cross-spectrum the factor was built from and the column count of
+    ``W``; ``fingerprint`` ties the factor to the gain matrix it belongs
+    to.
+
+    A factor from :func:`partial_field` holds ``K``, the whitener and the
+    row norms, O(voxels) beyond the gain, and reads its seed rows from
+    them; its ``W`` is formed anew on each access (voxels x rank complex),
+    so read it once. A factor given a ``W`` (by :func:`load_factor`, by
+    direct construction or by ``dataclasses.replace``) keeps a read-only
+    copy, checks that its rows have unit norm and reads its seed rows from
+    it; a later write to the caller's array moves no map.
+    :func:`load_factor` hands over the array it just read (``_fresh``),
+    which is frozen in place.
     """
 
-    W: np.ndarray  # (n_voxels, effective_rank) complex
+    W: np.ndarray = _FactorMatrix()  # (n_voxels, effective_rank) complex
     method: str
     band: tuple[float, float]
     fingerprint: str
@@ -203,29 +244,36 @@ class ConnectivityFactor:
     _fresh: InitVar[bool] = False
 
     def __post_init__(self, _fresh):
-        matrix = _frozen(self.W, np.complex128, _fresh)
-        if matrix.ndim != 2:
-            raise DimensionError("factor must be a 2-d matrix")
-        if matrix.shape[1] != self.effective_rank:
+        held = vars(self)["W"]
+        if isinstance(held, _Whitened):  # from partial_field: unit rows by construction
+            n_columns = held.whitener.shape[1]
+            rows = _SeedRows(held.gain, held.whitener, 1.0 / held.norms)
+        else:
+            held = _frozen(held, np.complex128, _fresh)
+            if held.ndim != 2:
+                raise DimensionError("factor must be a 2-d matrix")
+            n_columns = held.shape[1]
+            rows = _SeedRows(held.T)
+        if n_columns != self.effective_rank:
             raise DimensionError(
-                f"factor has {matrix.shape[1]} columns, effective rank is "
-                f"{self.effective_rank}"
+                f"factor has {n_columns} columns, effective rank is {self.effective_rank}"
             )
         if self.method != "partial":
             raise ValidationError(f"unknown factor method {self.method!r}")
-        norms = _row_norms(matrix)
-        worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-        if not worst <= 1e-10:
-            raise ValidationError(
-                f"factor rows must have unit norm (worst deviation {worst:.3e})"
-            )
-        object.__setattr__(self, "W", matrix)
+        if not isinstance(held, _Whitened):
+            norms = _row_norms(held)
+            worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
+            if not worst <= 1e-10:
+                raise ValidationError(
+                    f"factor rows must have unit norm (worst deviation {worst:.3e})"
+                )
+        object.__setattr__(self, "W", held)
         object.__setattr__(self, "band", (float(self.band[0]), float(self.band[1])))
-        object.__setattr__(self, "_rows", _SeedRows(matrix.T))
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def n_voxels(self) -> int:
-        return self.W.shape[0]
+        return self._rows.operand.shape[1]
 
 
 @dataclass(frozen=True)
@@ -404,14 +452,17 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
     No explicit inverse operator participates: the result is a function of
     the gain matrix and the cross-spectrum only. A NaN gain is refused; an
     array gain is copied and hashed, a LeadField's is read as it is and
-    hashed once per lead field. Seed rows read the gain and the whitener,
-    not ``W``.
+    hashed once per lead field. The row norms are reduced over row blocks
+    of ``K' Gamma+ Lambda+^(-1/2)``, so the factor is never stored: the
+    result holds the gain, the whitener and the norms, its seed rows read
+    those, and ``W`` is formed anew on each access (read it once).
     """
     gain = _full_rank_gain(leadfield)
     spectrum = _as_spectrum(spectrum, gain.shape[0])
     whitener = spectrum.decomposition.range_factor(-0.5)
-    pulled_back = _real_times_complex(gain.T, whitener)
-    row_norms = _row_norms(pulled_back)
+    row_norms = _by_row_blocks(
+        gain.T, lambda block: np.linalg.norm(_real_times_complex(block, whitener), axis=1)
+    )
     largest = float(np.max(row_norms))
     dead = row_norms <= ZERO_ROW_RTOL * largest
     if np.any(dead):
@@ -420,21 +471,17 @@ def partial_field(leadfield, spectrum) -> ConnectivityFactor:
             f"voxel {first} is invisible to all electrodes under this "
             "cross-spectrum (zero factor row)"
         )
-    pulled_back /= row_norms[:, None]
     if isinstance(leadfield, LeadField):
         fingerprint = leadfield.fingerprint()
     else:
         fingerprint = gain_fingerprint(gain)
-    factor = ConnectivityFactor(
-        W=pulled_back,
+    return ConnectivityFactor(
+        W=_Whitened(gain, whitener, row_norms),
         method="partial",
         band=spectrum.band or (spectrum.frequency, spectrum.frequency),
         fingerprint=fingerprint,
         effective_rank=spectrum.decomposition.rank,
-        _fresh=True,
     )
-    object.__setattr__(factor, "_rows", _SeedRows(gain, whitener, 1.0 / row_norms))
-    return factor
 
 
 def pairwise_partial(leadfield, spectrum, k: int, l: int) -> complex:
@@ -678,6 +725,13 @@ def save_factor(path, factor: ConnectivityFactor) -> None:
 
 
 def load_factor(path) -> ConnectivityFactor:
+    """Read a factor that :func:`save_factor` wrote: the matrix, then its manifest.
+
+    The factor holds the matrix it read as its ``W`` (frozen in place, not
+    copied) and checks it as any given ``W`` is checked: 2-d, as many
+    columns as the manifest's ``effective_rank``, and rows of unit norm.
+    Its seed rows are read from ``W``.
+    """
     matrix = read_pcf1(path)
     # A factor built from a bare matrix has no band and stores NaN, which
     # np.float64 parses and the finite-only float columns would refuse.

@@ -36,7 +36,6 @@ from __future__ import annotations
 import csv
 import math
 import mmap
-import operator
 import os
 import struct
 from dataclasses import InitVar, dataclass
@@ -126,7 +125,8 @@ class VoxelGrid:
             raise ValidationError("voxel positions contain non-finite values")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ValidationError(f"spacing must be finite and > 0, got {self.spacing}")
-        if np.unique(positions, axis=0).shape[0] != positions.shape[0]:
+        ordered = positions[np.lexsort(positions.T)]  # equal rows end up adjacent
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise ValidationError("voxel grid contains duplicate positions")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "spacing", float(self.spacing))
@@ -497,19 +497,6 @@ class InverseOperator:
         if not np.all(np.isfinite(matrix)):
             raise ValidationError("inverse operator contains non-finite entries")
         object.__setattr__(self, "matrix", matrix)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` through ``operator.index``, or a ValidationError naming ``name``.
-
-    A ``bool`` is refused, as numpy's ``operator.index`` refuses ``np.bool_``.
-    """
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _full_rank_gain(leadfield, fresh: bool = False) -> np.ndarray:

@@ -13,6 +13,7 @@ for the low-rank field estimator in :mod:`pcfield.confield`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,19 @@ def _frozen(array, dtype, fresh: bool = False, order: str = "K") -> np.ndarray:
     frozen = np.array(array, dtype=dtype, order=order, copy=None if fresh else True)
     frozen.setflags(write=False)
     return frozen
+
+
+def _integer(name: str, value) -> int:
+    """``value`` through ``operator.index``, or a ValidationError naming ``name``.
+
+    A ``bool`` is refused, as numpy's ``operator.index`` refuses ``np.bool_``.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 class HermitianMatrix:
@@ -120,6 +134,11 @@ class EigenDecomposition:
     at or below the rank tolerance were forced to exactly zero, and ``rank``
     counts the survivors. ``eigenvectors`` has unit-norm columns. Both are
     kept as read-only copies, so no write moves a whitener built from them.
+
+    Construction checks the shapes and what the factors promise: a finite
+    nonempty n x n basis, n finite nonincreasing eigenvalues and an integer
+    ``rank`` (not a ``bool``) equal to the count of nonzero eigenvalues.
+    Orthonormality is not checked.
     """
 
     eigenvectors: np.ndarray
@@ -127,8 +146,30 @@ class EigenDecomposition:
     rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvectors", _frozen(self.eigenvectors, np.complex128))
-        object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues, np.float64))
+        vectors = _frozen(self.eigenvectors, np.complex128)
+        values = _frozen(self.eigenvalues, np.float64)
+        rank = _integer("rank", self.rank)
+        if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1] or vectors.size == 0:
+            raise DimensionError(
+                f"eigenvectors must be a nonempty square matrix, got shape {vectors.shape}"
+            )
+        if values.shape != vectors.shape[:1]:
+            raise DimensionError(
+                f"{vectors.shape[0]} eigenvectors need {vectors.shape[0]} eigenvalues, "
+                f"got shape {values.shape}"
+            )
+        if not np.all(np.isfinite(vectors)):
+            raise ValidationError("eigenvectors contain non-finite entries")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("eigenvalues contain non-finite entries")
+        if np.any(values[1:] > values[:-1]):
+            raise ValidationError("eigenvalues must be nonincreasing")
+        nonzero = int(np.count_nonzero(values))
+        if rank != nonzero:
+            raise ValidationError(f"rank {rank} does not count the {nonzero} nonzero eigenvalues")
+        object.__setattr__(self, "eigenvectors", vectors)
+        object.__setattr__(self, "eigenvalues", values)
+        object.__setattr__(self, "rank", rank)
 
     def reconstruct(self) -> np.ndarray:
         """Return ``vectors @ diag(values) @ vectors*``."""

@@ -26,14 +26,13 @@ from .confield import SeededMap, connectivity_maps, write_map_csv
 from .errors import DimensionError, FormatError, ValidationError
 from .forward import (
     LeadField,
-    _integer,
     electrode_seed_voxels,
     utf8_lines,
     voxel_under_electrode,
     write_all,
     write_table,
 )
-from .matcore import _frozen
+from .matcore import _frozen, _integer
 from .spectra import EpochedRecording, band_cross_spectrum
 
 #: Analysis band of the reference experiment, Hz.

@@ -753,3 +753,25 @@ class TestRowOrder:
         flipped = read(path)
         assert flipped.labels == original.labels[::-1]
         assert np.array_equal(flipped.positions, original.positions[::-1])
+
+
+def test_duplicate_check_agrees_with_unique_rows():
+    # planted duplicates, +0.0 against -0.0, and rows that share two coordinates
+    rng = np.random.default_rng(28)
+    refused = 0
+    for _ in range(500):
+        n_rows = int(rng.integers(1, 30))
+        positions = rng.integers(-2, 3, size=(n_rows, 3)) * rng.choice([1.0, 0.5], size=3)
+        positions[rng.random(positions.shape) < 0.2] *= -1.0
+        if n_rows > 1 and rng.random() < 0.3:
+            positions[rng.integers(n_rows)] = positions[rng.integers(n_rows)]
+        duplicated = np.unique(positions, axis=0).shape[0] != n_rows
+        refused += duplicated
+        if duplicated:
+            with pytest.raises(ValidationError, match="voxel grid contains duplicate positions"):
+                VoxelGrid(positions=positions, spacing=1.0)
+        else:
+            assert len(VoxelGrid(positions=positions, spacing=1.0)) == n_rows
+    assert 0 < refused < 500
+    with pytest.raises(ValidationError, match="duplicate"):
+        VoxelGrid(positions=[[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]], spacing=1.0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_pd, random_psd
 from pcfield import (
     DimensionError,
+    EigenDecomposition,
     HermitianMatrix,
     NotPositiveSemidefiniteError,
     SingularMatrixError,
@@ -286,3 +287,70 @@ class TestDirectPartialCoherence:
     def test_rejects_indefinite(self):
         with pytest.raises(SingularMatrixError):
             direct_partial_coherence(np.diag([1.0, -2.0]))
+
+
+class TestEigenDecompositionChecks:
+    """A decomposition built by hand meets what hermitian_eig promises."""
+
+    def test_rank_above_two_increasing_values_is_refused(self):
+        with pytest.raises(ValidationError, match="nonincreasing"):
+            EigenDecomposition(eigenvectors=np.eye(2), eigenvalues=np.array([1.0, 2.0]), rank=5)
+        with pytest.raises(ValidationError, match="rank 5 does not count the 2 nonzero"):
+            EigenDecomposition(eigenvectors=np.eye(2), eigenvalues=np.array([2.0, 1.0]), rank=5)
+
+    def test_nan_and_a_basis_of_the_wrong_size_are_refused(self):
+        values = np.array([np.nan, -1.0])
+        with pytest.raises(DimensionError, match="3 eigenvectors need 3 eigenvalues"):
+            EigenDecomposition(eigenvectors=np.eye(3), eigenvalues=values, rank=0)
+        with pytest.raises(ValidationError, match="eigenvalues contain non-finite"):
+            EigenDecomposition(eigenvectors=np.eye(2), eigenvalues=values, rank=0)
+
+    @pytest.mark.parametrize(
+        "vectors, match",
+        [
+            (np.ones((2, 3)), "square"),
+            (np.ones(2), "square"),
+            (np.ones((0, 0)), "nonempty"),
+        ],
+        ids=["wide", "1-d", "empty"],
+    )
+    def test_the_basis_must_be_a_nonempty_square_matrix(self, vectors, match):
+        with pytest.raises(DimensionError, match=match):
+            EigenDecomposition(eigenvectors=vectors, eigenvalues=np.ones(2), rank=2)
+
+    def test_a_non_finite_basis_is_refused(self):
+        vectors = np.eye(2, dtype=complex)
+        vectors[1, 0] = complex(0.0, np.inf)
+        with pytest.raises(ValidationError, match="eigenvectors contain non-finite"):
+            EigenDecomposition(eigenvectors=vectors, eigenvalues=np.array([2.0, 1.0]), rank=2)
+
+    def test_eigenvalues_must_be_a_vector_of_the_basis_size(self):
+        with pytest.raises(DimensionError, match="got shape \\(2, 1\\)"):
+            EigenDecomposition(eigenvectors=np.eye(2), eigenvalues=np.ones((2, 1)), rank=2)
+
+    @pytest.mark.parametrize("rank", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    def test_rank_must_be_an_integer(self, rank):
+        with pytest.raises(ValidationError, match="rank must be an integer"):
+            EigenDecomposition(eigenvectors=np.eye(2), eigenvalues=np.array([2.0, 1.0]), rank=rank)
+
+    def test_valid_parts_are_kept(self):
+        values = np.array([3.0, 0.0, -1.0])  # Hermitian, not PSD: negatives are allowed
+        decomposition = EigenDecomposition(
+            eigenvectors=np.eye(3), eigenvalues=values, rank=np.int64(2)
+        )
+        assert type(decomposition.rank) is int and decomposition.rank == 2
+        assert np.array_equal(decomposition.eigenvalues, values)
+
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_hermitian_eig_output_passes_its_own_checks(self, n, seed):
+        rng = np.random.default_rng(seed)
+        matrix = random_psd(rng, n, int(rng.integers(1, n + 1)))
+        matrix -= 0.5 * np.trace(matrix).real / n * np.eye(n)  # some negative eigenvalues
+        decomposition = hermitian_eig(matrix)
+        rebuilt = EigenDecomposition(
+            eigenvectors=decomposition.eigenvectors,
+            eigenvalues=decomposition.eigenvalues,
+            rank=decomposition.rank,
+        )
+        assert np.array_equal(rebuilt.eigenvalues, decomposition.eigenvalues)
