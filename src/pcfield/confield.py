@@ -182,8 +182,9 @@ def _row_blocks(n_rows: int):
 class _Whitened:
     """A built factor's operands: the gain, the whitener and the row norms.
 
-    ``W`` is ``(K' Gamma+ Lambda+^(-1/2)) / norms``; :meth:`unit_rows`
-    forms it as :func:`partial_field` once did, bit for bit.
+    :meth:`unit_rows` forms ``W = (K' Gamma+ Lambda+^(-1/2)) / norms`` as
+    one product over the whole gain; the norms, reduced over row blocks of
+    that product, have its bits.
     """
 
     gain: np.ndarray  # (n_electrodes, n_voxels) real
@@ -197,7 +198,7 @@ class _Whitened:
 
 
 class _FactorMatrix:
-    """``ConnectivityFactor.W``: the matrix a factor holds, or its built operands'.
+    """``ConnectivityFactor.W``: the matrix a factor was given, or one formed from its operands.
 
     A dataclass field whose default is a descriptor is set and read through
     it. Read on the class, it raises AttributeError, so ``W`` keeps no

@@ -17,7 +17,6 @@ from pcfield import (
     ConnectivityFactor,
     CrossSpectrum,
     DimensionError,
-    ValidationError,
     builtin_1020_electrodes,
     connectivity_maps,
     load_factor,
@@ -123,22 +122,13 @@ def test_maps_and_composites_of_a_built_factor_never_form_W(measure, monkeypatch
         source.W
 
 
-def test_a_built_factor_keeps_the_dead_voxel_refusal():
-    gain = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
-    gain = np.hstack([gain, np.zeros((2, 1))])
-    with pytest.raises(ValidationError, match="voxel 3 is invisible to all electrodes"):
-        partial_field(gain, np.eye(2))
-
-
-def test_a_given_W_is_still_checked():
+def test_a_given_W_is_still_required_and_checked():
     rng = np.random.default_rng(31)
     W = partial_field(random_gain(rng, 4, 9), random_pd(rng, 4)).W
     fields = dict(method="partial", band=(8.0, 12.0), fingerprint="0" * 64)
-    with pytest.raises(ValidationError, match="unit norm"):
-        ConnectivityFactor(W=2.0 * W, effective_rank=4, **fields)
     with pytest.raises(DimensionError, match="3 columns"):
         ConnectivityFactor(W=W[:, :3], effective_rank=4, **fields)
     with pytest.raises(DimensionError, match="2-d"):
         ConnectivityFactor(W=W[0], effective_rank=4, **fields)
-    with pytest.raises(TypeError):
-        ConnectivityFactor(method="partial", band=(8.0, 12.0), fingerprint="0", effective_rank=4)
+    with pytest.raises(TypeError, match="'W'"):
+        ConnectivityFactor(effective_rank=4, **fields)
