@@ -404,36 +404,27 @@ def gain_fingerprint(gain: np.ndarray) -> str:
 #: but raises it to the size of each mapped block freed (up to 32 MiB).
 _MAPPED_MIN_BYTES = 128 * 1024
 
-#: From this size on a mapping is offered huge pages, as numpy offers them;
-#: a smaller one is populated when it is made.
-_HUGE_PAGE_BYTES = 4 * 1024 * 1024
-
 
 def _mapped_empty(shape) -> np.ndarray:
-    """An uninitialised float64 array, in its own page mapping when large.
+    """An uninitialised float64 array, in a populated page mapping when large.
 
-    For a gain, an inverse or a map, which callers hold and drop in bulk.
-    On the C heap such an array's memory stays with the process when it is
-    dropped, and a later large array reuses it only where it fits between
-    blocks still held; so how much memory a run peaks at came to depend on
-    where earlier arrays had landed (55 MB between two runs of one dense
-    workload). A private mapping goes back to the system when the array is
-    dropped. A small mapping is populated in one call, not one page fault
-    per page: a map of 28 257 voxels cost the same as on the heap, against
-    3% more unpopulated. Below ``_MAPPED_MIN_BYTES``, or where ``mmap`` has
-    no private mappings, this is ``np.empty``.
+    For the two arrays a pass makes and drops in bulk: a Cholesky-route
+    right inverse and a seeded map's values. On the C heap such an array's
+    memory stays with the process when it is dropped, and a later large
+    array reuses it only where it fits between blocks still held; so how
+    much memory a run peaks at came to depend on where earlier arrays had
+    landed (55 MB between two runs of one dense workload). A private
+    mapping goes back to the system when the array is dropped, and it is
+    populated in one call, not one page fault per page. Below
+    ``_MAPPED_MIN_BYTES``, or where ``mmap`` has no private mappings, this
+    is ``np.empty``.
     """
     shape = tuple(shape)
     nbytes = 8 * math.prod(shape)
     if nbytes < _MAPPED_MIN_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
         return np.empty(shape)
-    if nbytes < _HUGE_PAGE_BYTES:
-        flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
-        return np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), np.float64).reshape(shape)
-    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        pages.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(pages, np.float64).reshape(shape)
+    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), np.float64).reshape(shape)
 
 
 def synth_leadfield(electrodes: ElectrodeArray, voxels: VoxelGrid) -> LeadField:
@@ -452,7 +443,7 @@ def synth_leadfield(electrodes: ElectrodeArray, voxels: VoxelGrid) -> LeadField:
     # squares in this order, so each row has the bits of
     # norm(positions - p, axis=1).
     x, y, z = voxels.positions.T
-    distances = _mapped_empty((len(electrodes), len(voxels)))
+    distances = np.empty((len(electrodes), len(voxels)))
     for row, (ex, ey, ez) in zip(distances, electrodes.positions.tolist()):
         dx, dy, dz = x - ex, y - ey, z - ez
         np.sqrt(dx * dx + dy * dy + dz * dz, out=row)
@@ -696,14 +687,13 @@ def write_pcf1(path, matrix) -> None:
         raise DimensionError("PCF1 stores 2-d matrices only")
     if not np.all(np.isfinite(array)):
         raise FormatError("matrix contains non-finite entries")
-    if np.iscomplexobj(array):
-        dtype_code = _PCF1_COMPLEX
-        payload = np.ascontiguousarray(array, dtype="<c16").tobytes()
-    else:
-        dtype_code = _PCF1_REAL
-        payload = np.ascontiguousarray(array, dtype="<f8").tobytes()
-    header = _PCF1_MAGIC + struct.pack("<BII", dtype_code, array.shape[0], array.shape[1])
-    Path(path).write_bytes(header + payload)
+    complex_ = np.iscomplexobj(array)
+    dtype_code, item = (_PCF1_COMPLEX, "<c16") if complex_ else (_PCF1_REAL, "<f8")
+    header = _PCF1_MAGIC + struct.pack("<BII", dtype_code, *array.shape)
+    payload = np.ascontiguousarray(array, dtype=item)  # the caller's buffer when it fits
+    with open(path, "wb") as handle:
+        handle.write(header)
+        payload.tofile(handle)
 
 
 def read_pcf1(path) -> np.ndarray:

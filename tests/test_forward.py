@@ -1,6 +1,8 @@
 """Forward model: montage, grid, lead field, inverses, resolution, PCF1 IO."""
 
 import dataclasses
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -465,6 +467,25 @@ class TestPcf1:
         restored = read_pcf1(path)
         assert restored.dtype == np.complex128
         assert np.array_equal(restored, matrix)
+
+    @pytest.mark.parametrize("code, dtype", [(0, "<f8"), (1, "<c16")])
+    def test_the_file_is_the_header_then_the_row_major_payload(self, tmp_path, code, dtype):
+        matrix = np.arange(24.0).reshape(4, 6).astype(dtype).T  # a view, not C-ordered
+        path = tmp_path / "view.pcf"
+        write_pcf1(path, matrix)
+        header = b"PCF1" + struct.pack("<BII", code, 6, 4)
+        assert path.read_bytes() == header + np.ascontiguousarray(matrix).tobytes()
+
+    def test_writing_streams_the_payload_without_a_copy(self, tmp_path):
+        # 2 MiB: the finiteness screen's booleans are an eighth of it
+        matrix = np.random.default_rng(9).standard_normal((64, 4096))
+        tracemalloc.start()
+        try:
+            write_pcf1(tmp_path / "large.pcf", matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes // 4, f"{peak} B for a {matrix.nbytes} B payload"
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "trunc.pcf"

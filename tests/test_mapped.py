@@ -1,13 +1,15 @@
-"""Large gains, inverses and maps in page mappings of their own.
+"""Inverses and maps in page mappings of their own; gains on the heap.
 
-A lead field's gain, a Cholesky-route right inverse and a seeded map's
-values take a private mapping from 128 KiB on, so dropping one gives its
-memory back to the system; smaller ones are plain numpy arrays. The values
-are those of the plain expressions, bit for bit.
+The two arrays a pass makes and drops in bulk, a Cholesky-route right
+inverse and a seeded map's values, take a private, populated mapping from
+128 KiB on, so dropping one gives its memory back to the system; smaller
+ones, and every lead field's gain, are plain numpy arrays. The values are
+those of the plain expressions, bit for bit.
 """
 
 import mmap
 import os
+import types
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from pcfield import (
     spherical_grid,
     synth_leadfield,
 )
+from pcfield import forward
 from pcfield.forward import _MAPPED_MIN_BYTES, _mapped_empty
 
 
@@ -46,9 +49,13 @@ def resident_bytes() -> int:
         return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+
+
 @pytest.fixture(scope="module")
 def dense_leadfield():
-    # 19 x 20 572: the gain, T and one map are all past the threshold
+    # 19 x 20 572: the gain, T and one map are all past the threshold, and only
+    # T and the map are mapped
     leadfield = synth_leadfield(builtin_1020_electrodes(), spherical_grid(0.05))
     assert 8 * leadfield.n_voxels >= _MAPPED_MIN_BYTES
     return leadfield
@@ -68,7 +75,29 @@ class TestMappedEmpty:
         assert array.flags.owndata and not is_mapped(array)
         assert is_mapped(_mapped_empty((_MAPPED_MIN_BYTES // 8,)))
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+    def test_without_private_mappings_it_is_np_empty(self, monkeypatch):
+        monkeypatch.setattr(forward, "mmap", types.SimpleNamespace(mmap=mmap.mmap))
+        array = _mapped_empty((4, _MAPPED_MIN_BYTES // 8))
+        assert array.flags.owndata and not is_mapped(array)
+
+    def test_without_populate_it_is_still_a_private_mapping(self, monkeypatch):
+        namespace = types.SimpleNamespace(mmap=mmap.mmap, MAP_PRIVATE=mmap.MAP_PRIVATE)
+        monkeypatch.setattr(forward, "mmap", namespace)
+        array = _mapped_empty((4, _MAPPED_MIN_BYTES // 8))
+        assert is_mapped(array)
+        array[:] = 1.5
+        assert np.all(array == 1.5)
+
+    @needs_proc
+    @pytest.mark.skipif(not hasattr(mmap, "MAP_POPULATE"), reason="needs MAP_POPULATE")
+    def test_a_large_request_is_resident_before_any_write(self):
+        # 8 MiB, populated by the call that maps it
+        before = resident_bytes()
+        array = _mapped_empty((1024, 1024))
+        assert is_mapped(array)
+        assert resident_bytes() - before >= 0.9 * array.nbytes
+
+    @needs_proc
     def test_dropping_a_mapped_array_returns_its_pages(self):
         # a freed malloc block of this size raises glibc's threshold to it,
         # after which np.empty of the same size would stay resident when dropped
@@ -82,9 +111,11 @@ class TestMappedEmpty:
 
 
 class TestMappedOperands:
-    def test_the_gain_is_mapped_with_the_bits_of_the_plain_expression(self, dense_leadfield):
+    def test_the_gain_is_a_plain_array_with_the_bits_of_the_plain_expression(
+        self, dense_leadfield
+    ):
         gain = dense_leadfield.gain
-        assert is_mapped(gain) and not gain.flags.writeable
+        assert gain.flags.owndata and not is_mapped(gain) and not gain.flags.writeable
         positions = dense_leadfield.voxels.positions
         for row, electrode in zip(gain[:3], dense_leadfield.electrodes.positions):
             delta = positions - electrode
